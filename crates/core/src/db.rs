@@ -80,8 +80,8 @@ use crate::aggregate::AggregateStats;
 use crate::builder::{FlatIndexBuilder, StreamingStats, DEFAULT_SPILL_BUDGET};
 use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta, StagedOp};
 use crate::delta::{DeltaIndex, DeltaReport};
-use crate::durable::{decode_logical, encode_logical, DbSnapshot, DbStore, LogicalOp};
-pub use crate::durable::{Durability, RecoveryReport};
+use crate::durable::{decode_logical, encode_logical, DbSnapshot, LogicalOp};
+pub use crate::durable::{DbStore, Durability, RecoveryReport};
 use crate::engine::{BatchOutcome, EngineConfig, KnnBatchOutcome, QueryEngine};
 use crate::error::FlatError;
 use crate::index::{BuildStats, FlatIndex, FlatOptions};
@@ -91,8 +91,8 @@ use crate::query::{QueryStats, Tombstones};
 use flat_geom::{Aabb, Point3};
 use flat_rtree::{Entry, Hit, LeafLayout};
 use flat_storage::{
-    BufferPool, DurableStore, EpochPin, FileStore, IoStats, Page, PageId, PageStore, VersionStats,
-    VersionedPool,
+    BufferPool, ConcurrentBufferPool, DurableStore, EpochPin, FileStore, IoStats, Page, PageId,
+    PageStore, StoreCell, VersionStats, VersionedCache, VersionedPool,
 };
 use std::collections::HashSet;
 use std::ops::Deref;
@@ -102,15 +102,15 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuar
 /// Locks a mutex, tolerating poison: a panicking writer thread must not
 /// wedge every later session call (the MVCC state it guards is kept
 /// consistent by the publish protocol, not by unwind safety).
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn read_unpoisoned<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+pub(crate) fn read_unpoisoned<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(|e| e.into_inner())
 }
 
-fn write_unpoisoned<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+pub(crate) fn write_unpoisoned<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -257,8 +257,12 @@ struct DbTruth {
 /// A FLAT database: one handle owning the versioned buffer pool and the
 /// index lifecycle. See the [module docs](self) for the session diagram
 /// and the crate docs for the underlying machinery.
-pub struct FlatDb<S: PageStore> {
-    pool: VersionedPool<DbStore<S>>,
+///
+/// `C` is the shared page cache under the versioned pool. Every public
+/// constructor uses the default [`ConcurrentBufferPool`]; the sharded
+/// layer builds its shards over a [`flat_storage::DiskScheduler`].
+pub struct FlatDb<S: PageStore, C: VersionedCache = ConcurrentBufferPool<StoreCell<DbStore<S>>>> {
+    pool: VersionedPool<DbStore<S>, C>,
     /// Writer-side truth; the mutex serializes writer sessions.
     truth: Mutex<DbTruth>,
     /// The resident state snapshots read. Swapped under the write lock
@@ -277,7 +281,7 @@ pub struct FlatDb<S: PageStore> {
     options: DbOptions,
 }
 
-impl<S: PageStore> std::fmt::Debug for FlatDb<S> {
+impl<S: PageStore, C: VersionedCache> std::fmt::Debug for FlatDb<S, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = read_unpoisoned(&self.published).clone();
         f.debug_struct("FlatDb")
@@ -288,13 +292,13 @@ impl<S: PageStore> std::fmt::Debug for FlatDb<S> {
     }
 }
 
-impl<S: PageStore> std::fmt::Debug for Snapshot<'_, S> {
+impl<S: PageStore, C: VersionedCache> std::fmt::Debug for Snapshot<'_, S, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Snapshot({:?})", self.db)
     }
 }
 
-impl<S: PageStore> std::fmt::Debug for QueryBuilder<'_, S> {
+impl<S: PageStore, C: VersionedCache> std::fmt::Debug for QueryBuilder<'_, S, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryBuilder")
             .field("ranges", &self.ranges.len())
@@ -304,7 +308,7 @@ impl<S: PageStore> std::fmt::Debug for QueryBuilder<'_, S> {
     }
 }
 
-impl<S: PageStore> std::fmt::Debug for Writer<'_, S> {
+impl<S: PageStore, C: VersionedCache> std::fmt::Debug for Writer<'_, S, C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Writer({:?})", self.db)
     }
@@ -371,48 +375,9 @@ impl<S: PageStore> FlatDb<S> {
             Durability::Off,
             "durability needs the logged store layout: use FlatDb::create_durable"
         );
-        let pool = VersionedPool::new(DbStore::Plain(store), options.pool_pages);
+        let pool = VersionedPool::new(DbStore::plain(store), options.pool_pages);
         let state = DbIndex::Base(Arc::new(FlatIndex::empty(options.index.layout)));
         Self::assemble(pool, state, options, false, false, 1)
-    }
-
-    /// Wires the locking skeleton around an initial truth state (the
-    /// published copy starts as a clone of it).
-    fn assemble(
-        pool: VersionedPool<DbStore<S>>,
-        state: DbIndex,
-        options: DbOptions,
-        built: bool,
-        dirty: bool,
-        next_seq: u64,
-    ) -> FlatDb<S> {
-        FlatDb {
-            pool,
-            published: RwLock::new(state.clone()),
-            subscriptions: Mutex::new(ContinuousQueries::new()),
-            truth: Mutex::new(DbTruth {
-                state,
-                built,
-                dirty,
-                next_seq,
-                batches_since_ckpt: 0,
-                poisoned: false,
-            }),
-            options,
-        }
-    }
-
-    /// The truth behind the mutex, through exclusive access (no locking).
-    fn truth_mut(&mut self) -> &mut DbTruth {
-        self.truth.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Replaces the published state with the current truth, without an
-    /// epoch bump — only for exclusive (`&mut`) contexts such as builds
-    /// and recovery, where no snapshot can be pinned.
-    fn publish_current(&mut self) {
-        let state = self.truth_mut().state.clone();
-        *self.published.get_mut().unwrap_or_else(|e| e.into_inner()) = state;
     }
 
     /// A crash-durable database over an **empty** `store`: lays down the
@@ -436,7 +401,7 @@ impl<S: PageStore> FlatDb<S> {
             delta: None,
         };
         durable.checkpoint(&initial.encode())?;
-        let pool = VersionedPool::new(DbStore::Durable(Box::new(durable)), options.pool_pages);
+        let pool = VersionedPool::new(DbStore::durable(durable), options.pool_pages);
         let state = DbIndex::Base(Arc::new(FlatIndex::empty(options.index.layout)));
         Ok(Self::assemble(pool, state, options, false, false, 1))
     }
@@ -465,7 +430,7 @@ impl<S: PageStore> FlatDb<S> {
         let (durable, log) = DurableStore::open(store)?;
         let snapshot = DbSnapshot::decode(&log.snapshot)?;
         options.index.layout = snapshot.index.layout();
-        let pool = VersionedPool::new(DbStore::Durable(Box::new(durable)), options.pool_pages);
+        let pool = VersionedPool::new(DbStore::durable(durable), options.pool_pages);
         let state = match snapshot.delta {
             None => DbIndex::Base(Arc::new(snapshot.index)),
             Some((meta_pages, tombstones)) => {
@@ -526,6 +491,97 @@ impl<S: PageStore> FlatDb<S> {
         Ok((db, report))
     }
 
+    /// Adopts an already-built index whose descriptor page is
+    /// `descriptor` (written by [`FlatIndex::save`] or a previous
+    /// [`FlatDb::persist`]).
+    ///
+    /// The stored layout overrides `options.index.layout` — the pages on
+    /// disk are the source of truth. The descriptor does **not** record
+    /// the tiling domain, so for a database you intend to write into,
+    /// `options.index.domain` must be the same domain the index was
+    /// built with: the delta layer STR-tiles every insert batch (and the
+    /// compaction rebuild) over this domain, and a different one would
+    /// silently produce a differently-tiled index than the one
+    /// persisted. Read-only sessions may pass any options.
+    pub fn open(
+        store: S,
+        descriptor: PageId,
+        mut options: DbOptions,
+    ) -> Result<FlatDb<S>, FlatError> {
+        if options.durability != Durability::Off {
+            return Err(FlatError::Persist(
+                "a descriptor-page store is plain-format; durable databases are \
+                 opened with FlatDb::open_durable"
+                    .into(),
+            ));
+        }
+        let pool = VersionedPool::new(DbStore::plain(store), options.pool_pages);
+        let index = FlatIndex::load(&pool, descriptor)?;
+        options.index.layout = index.layout();
+        let state = DbIndex::Base(Arc::new(index));
+        Ok(Self::assemble(pool, state, options, true, false, 1))
+    }
+}
+
+impl<S: PageStore, C: VersionedCache> FlatDb<S, C> {
+    /// Wires the locking skeleton around an initial truth state (the
+    /// published copy starts as a clone of it).
+    fn assemble(
+        pool: VersionedPool<DbStore<S>, C>,
+        state: DbIndex,
+        options: DbOptions,
+        built: bool,
+        dirty: bool,
+        next_seq: u64,
+    ) -> FlatDb<S, C> {
+        FlatDb {
+            pool,
+            published: RwLock::new(state.clone()),
+            subscriptions: Mutex::new(ContinuousQueries::new()),
+            truth: Mutex::new(DbTruth {
+                state,
+                built,
+                dirty,
+                next_seq,
+                batches_since_ckpt: 0,
+                poisoned: false,
+            }),
+            options,
+        }
+    }
+
+    /// A database serving `index`, already bulk-loaded into `store`,
+    /// reading through `cache` (built over a clone of the same cell) —
+    /// how the sharded layer turns each shard's build into a session.
+    pub(crate) fn from_built(
+        store: StoreCell<DbStore<S>>,
+        cache: C,
+        index: FlatIndex,
+        options: DbOptions,
+    ) -> FlatDb<S, C> {
+        let pool = VersionedPool::from_parts(store, cache);
+        let state = DbIndex::Base(Arc::new(index));
+        Self::assemble(pool, state, options, true, false, 1)
+    }
+
+    /// The shared page cache under the versioned pool.
+    pub(crate) fn cache(&self) -> &C {
+        self.pool.cache()
+    }
+
+    /// The truth behind the mutex, through exclusive access (no locking).
+    fn truth_mut(&mut self) -> &mut DbTruth {
+        self.truth.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Replaces the published state with the current truth, without an
+    /// epoch bump — only for exclusive (`&mut`) contexts such as builds
+    /// and recovery, where no snapshot can be pinned.
+    fn publish_current(&mut self) {
+        let state = self.truth_mut().state.clone();
+        *self.published.get_mut().unwrap_or_else(|e| e.into_inner()) = state;
+    }
+
     /// Applies one recovered logical record, promoting to a delta index
     /// first if the checkpoint predates the first writer. Recovery runs
     /// exclusively (no snapshot exists yet), so it applies through the
@@ -564,37 +620,6 @@ impl<S: PageStore> FlatDb<S> {
             }
         }
         Ok(())
-    }
-
-    /// Adopts an already-built index whose descriptor page is
-    /// `descriptor` (written by [`FlatIndex::save`] or a previous
-    /// [`FlatDb::persist`]).
-    ///
-    /// The stored layout overrides `options.index.layout` — the pages on
-    /// disk are the source of truth. The descriptor does **not** record
-    /// the tiling domain, so for a database you intend to write into,
-    /// `options.index.domain` must be the same domain the index was
-    /// built with: the delta layer STR-tiles every insert batch (and the
-    /// compaction rebuild) over this domain, and a different one would
-    /// silently produce a differently-tiled index than the one
-    /// persisted. Read-only sessions may pass any options.
-    pub fn open(
-        store: S,
-        descriptor: PageId,
-        mut options: DbOptions,
-    ) -> Result<FlatDb<S>, FlatError> {
-        if options.durability != Durability::Off {
-            return Err(FlatError::Persist(
-                "a descriptor-page store is plain-format; durable databases are \
-                 opened with FlatDb::open_durable"
-                    .into(),
-            ));
-        }
-        let pool = VersionedPool::new(DbStore::Plain(store), options.pool_pages);
-        let index = FlatIndex::load(&pool, descriptor)?;
-        options.index.layout = index.layout();
-        let state = DbIndex::Base(Arc::new(index));
-        Ok(Self::assemble(pool, state, options, true, false, 1))
     }
 
     /// Bulk-loads the database from `entries`, auto-selecting the build
@@ -692,7 +717,7 @@ impl<S: PageStore> FlatDb<S> {
     /// Snapshots borrow the database shared, so any number can be out at
     /// once, on any number of threads, and none of them ever waits for a
     /// writer's apply phase.
-    pub fn reader(&self) -> Snapshot<'_, S> {
+    pub fn reader(&self) -> Snapshot<'_, S, C> {
         // Pinning under the published read lock pairs the epoch with the
         // resident tables: a writer swaps both under the write lock.
         let published = read_unpoisoned(&self.published);
@@ -758,7 +783,7 @@ impl<S: PageStore> FlatDb<S> {
 
     /// Starts a fluent batched query: accumulate range and kNN queries,
     /// tune readahead, then run the batch through the [`QueryEngine`].
-    pub fn query(&self) -> QueryBuilder<'_, S> {
+    pub fn query(&self) -> QueryBuilder<'_, S, C> {
         QueryBuilder {
             db: self,
             config: self.options.engine,
@@ -777,7 +802,7 @@ impl<S: PageStore> FlatDb<S> {
     /// (a one-time resident-table scan); this requires the database to
     /// have stable element ids ([`LeafLayout::WithIds`]) and a fixed
     /// domain — see [`DbOptions::updatable`].
-    pub fn writer(&self) -> Result<Writer<'_, S>, FlatError> {
+    pub fn writer(&self) -> Result<Writer<'_, S, C>, FlatError> {
         if self.options.index.layout != LeafLayout::WithIds {
             return Err(FlatError::Update(
                 "updates need stable element ids: build with LeafLayout::WithIds \
@@ -1049,7 +1074,7 @@ impl<S: PageStore> FlatDb<S> {
 
     /// Cumulative I/O statistics of the owned pool.
     pub fn io_stats(&self) -> IoStats {
-        self.pool.cache().stats()
+        self.pool.cache().io_stats()
     }
 
     /// Drops every cached page (the paper's cold-cache protocol).
@@ -1059,7 +1084,7 @@ impl<S: PageStore> FlatDb<S> {
 
     /// Zeroes the I/O statistics.
     pub fn reset_stats(&self) {
-        self.pool.cache().reset_stats()
+        self.pool.cache().reset_io_stats()
     }
 }
 
@@ -1094,13 +1119,17 @@ impl<S: PageStore + std::fmt::Debug> std::fmt::Debug for StoreRef<'_, S> {
 /// range queries route to [`FlatIndex::range_query`] (or the
 /// tombstone-aware [`DeltaIndex::range_query`] once a writer exists) and
 /// kNN to the matching `knn_query`.
-pub struct Snapshot<'db, S: PageStore> {
-    db: &'db FlatDb<S>,
+pub struct Snapshot<
+    'db,
+    S: PageStore,
+    C: VersionedCache = ConcurrentBufferPool<StoreCell<DbStore<S>>>,
+> {
+    db: &'db FlatDb<S, C>,
     resident: DbIndex,
-    pin: EpochPin<'db, DbStore<S>>,
+    pin: EpochPin<'db, DbStore<S>, C>,
 }
 
-impl<S: PageStore> Clone for Snapshot<'_, S> {
+impl<S: PageStore, C: VersionedCache> Clone for Snapshot<'_, S, C> {
     fn clone(&self) -> Self {
         Snapshot {
             db: self.db,
@@ -1110,7 +1139,7 @@ impl<S: PageStore> Clone for Snapshot<'_, S> {
     }
 }
 
-impl<S: PageStore> Snapshot<'_, S> {
+impl<S: PageStore, C: VersionedCache> Snapshot<'_, S, C> {
     /// The epoch this snapshot pinned: it observes exactly the batches
     /// published before that epoch, none after.
     pub fn epoch(&self) -> u64 {
@@ -1210,9 +1239,9 @@ impl<S: PageStore> Snapshot<'_, S> {
     /// within Euclidean distance `eps`, via [`JoinEngine`]'s link-graph
     /// co-crawl. Both sides are pinned, so a concurrent writer on
     /// either database cannot shear the result.
-    pub fn join<S2: PageStore>(
+    pub fn join<S2: PageStore, C2: VersionedCache>(
         &self,
-        other: &Snapshot<'_, S2>,
+        other: &Snapshot<'_, S2, C2>,
         eps: f64,
     ) -> Result<JoinResult, FlatError> {
         let outer = match &self.resident {
@@ -1233,14 +1262,18 @@ impl<S: PageStore> Snapshot<'_, S> {
 /// batched [`QueryEngine`] — per-batch page cache, wave-scheduled crawl
 /// turns, crawl-ahead readahead — with per-query results identical to the
 /// serial [`Snapshot`] paths.
-pub struct QueryBuilder<'db, S: PageStore> {
-    db: &'db FlatDb<S>,
+pub struct QueryBuilder<
+    'db,
+    S: PageStore,
+    C: VersionedCache = ConcurrentBufferPool<StoreCell<DbStore<S>>>,
+> {
+    db: &'db FlatDb<S, C>,
     config: EngineConfig,
     ranges: Vec<Aabb>,
     knns: Vec<(Point3, usize)>,
 }
 
-impl<S: PageStore> QueryBuilder<'_, S> {
+impl<S: PageStore, C: VersionedCache> QueryBuilder<'_, S, C> {
     /// Queues one range query.
     pub fn range(mut self, query: Aabb) -> Self {
         self.ranges.push(query);
@@ -1299,7 +1332,7 @@ impl<S: PageStore> QueryBuilder<'_, S> {
     }
 }
 
-impl<S: PageStore + Send + Sync> QueryBuilder<'_, S> {
+impl<S: PageStore + Send + Sync, C: VersionedCache + Sync> QueryBuilder<'_, S, C> {
     /// Runs the queued **range** queries as one batch. Results are
     /// index-aligned with the queueing order and identical to serial
     /// evaluation. The batch runs over one pinned [`Snapshot`], so a
@@ -1364,12 +1397,16 @@ pub enum WriteOp {
 /// applies behind the published state (copy-on-write at both the page
 /// and the resident-table level) and flips into view atomically when it
 /// commits. No snapshot or query can observe a half-applied batch.
-pub struct Writer<'db, S: PageStore> {
-    db: &'db FlatDb<S>,
+pub struct Writer<
+    'db,
+    S: PageStore,
+    C: VersionedCache = ConcurrentBufferPool<StoreCell<DbStore<S>>>,
+> {
+    db: &'db FlatDb<S, C>,
     truth: MutexGuard<'db, DbTruth>,
 }
 
-impl<S: PageStore> Writer<'_, S> {
+impl<S: PageStore, C: VersionedCache> Writer<'_, S, C> {
     /// Inserts a batch of new elements (see [`DeltaIndex::insert_batch`]).
     ///
     /// Unlike the low-level call, colliding application ids are reported
@@ -1415,7 +1452,7 @@ impl<S: PageStore> Writer<'_, S> {
     pub fn compact(&mut self) -> Result<BuildStats, FlatError> {
         let db = self.db;
         let truth = &mut *self.truth;
-        FlatDb::<S>::check_writable(truth)?;
+        FlatDb::<S, C>::check_writable(truth)?;
         db.log_ops(truth, &[&LogicalOp::Compact])?;
         let mut batch = db.pool.begin_batch();
         let result = {
@@ -1453,7 +1490,7 @@ impl<S: PageStore> Writer<'_, S> {
     fn commit(&mut self, ops: Vec<LogicalOp>) -> Result<Vec<usize>, FlatError> {
         let db = self.db;
         let truth = &mut *self.truth;
-        FlatDb::<S>::check_writable(truth)?;
+        FlatDb::<S, C>::check_writable(truth)?;
         {
             // Validate *before* the commit point: a rejected group must
             // reach neither the log nor the pages.

@@ -62,8 +62,18 @@ pub struct RecoveryReport {
 /// The store a [`crate::FlatDb`] session pool runs over: the plain
 /// backing store, or the same store wrapped in a [`DurableStore`] when a
 /// [`Durability`] mode is on.
+///
+/// Public only because it names the store inside a [`crate::FlatDb`]'s
+/// cache type parameter (the default is a
+/// [`flat_storage::ConcurrentBufferPool`] over a
+/// [`flat_storage::StoreCell`] of this type). It has no public
+/// constructor: only the database creates one, and callers reach the
+/// backing store through [`crate::FlatDb::store`].
 #[derive(Debug)]
-pub(crate) enum DbStore<S: PageStore> {
+pub struct DbStore<S: PageStore>(Backing<S>);
+
+#[derive(Debug)]
+enum Backing<S: PageStore> {
     /// Durability off: pages go straight to the backing store.
     Plain(S),
     /// Durability on: writes defer into the WAL overlay until checkpoint.
@@ -71,86 +81,96 @@ pub(crate) enum DbStore<S: PageStore> {
 }
 
 impl<S: PageStore> DbStore<S> {
+    /// Pages go straight to `store` (durability off).
+    pub(crate) fn plain(store: S) -> DbStore<S> {
+        DbStore(Backing::Plain(store))
+    }
+
+    /// Writes defer into `durable`'s WAL overlay until checkpoint.
+    pub(crate) fn durable(durable: DurableStore<S>) -> DbStore<S> {
+        DbStore(Backing::Durable(Box::new(durable)))
+    }
+
     /// The backing store, through either variant.
     pub(crate) fn backing(&self) -> &S {
-        match self {
-            DbStore::Plain(s) => s,
-            DbStore::Durable(d) => d.inner(),
+        match &self.0 {
+            Backing::Plain(s) => s,
+            Backing::Durable(d) => d.inner(),
         }
     }
 
     /// Unwraps to the backing store, dropping any uncheckpointed overlay
     /// (the RAM-loss semantics a caller opts into by unwrapping).
     pub(crate) fn into_backing(self) -> S {
-        match self {
-            DbStore::Plain(s) => s,
-            DbStore::Durable(d) => d.into_inner(),
+        match self.0 {
+            Backing::Plain(s) => s,
+            Backing::Durable(d) => d.into_inner(),
         }
     }
 
     /// The durable wrapper, if durability is on.
     pub(crate) fn durable_mut(&mut self) -> Option<&mut DurableStore<S>> {
-        match self {
-            DbStore::Plain(_) => None,
-            DbStore::Durable(d) => Some(d),
+        match &mut self.0 {
+            Backing::Plain(_) => None,
+            Backing::Durable(d) => Some(d),
         }
     }
 }
 
 impl<S: PageStore> PageStore for DbStore<S> {
     fn alloc(&mut self) -> Result<PageId, StorageError> {
-        match self {
-            DbStore::Plain(s) => s.alloc(),
-            DbStore::Durable(d) => d.alloc(),
+        match &mut self.0 {
+            Backing::Plain(s) => s.alloc(),
+            Backing::Durable(d) => d.alloc(),
         }
     }
 
     fn write_page(&mut self, id: PageId, page: &Page) -> Result<(), StorageError> {
-        match self {
-            DbStore::Plain(s) => s.write_page(id, page),
-            DbStore::Durable(d) => d.write_page(id, page),
+        match &mut self.0 {
+            Backing::Plain(s) => s.write_page(id, page),
+            Backing::Durable(d) => d.write_page(id, page),
         }
     }
 
     fn read_page(&self, id: PageId, out: &mut Page) -> Result<(), StorageError> {
-        match self {
-            DbStore::Plain(s) => s.read_page(id, out),
-            DbStore::Durable(d) => d.read_page(id, out),
+        match &self.0 {
+            Backing::Plain(s) => s.read_page(id, out),
+            Backing::Durable(d) => d.read_page(id, out),
         }
     }
 
     fn free_page(&mut self, id: PageId) -> Result<(), StorageError> {
-        match self {
-            DbStore::Plain(s) => s.free_page(id),
-            DbStore::Durable(d) => d.free_page(id),
+        match &mut self.0 {
+            Backing::Plain(s) => s.free_page(id),
+            Backing::Durable(d) => d.free_page(id),
         }
     }
 
     fn free_pages(&self) -> Vec<PageId> {
-        match self {
-            DbStore::Plain(s) => s.free_pages(),
-            DbStore::Durable(d) => d.free_pages(),
+        match &self.0 {
+            Backing::Plain(s) => s.free_pages(),
+            Backing::Durable(d) => d.free_pages(),
         }
     }
 
     fn num_free(&self) -> u64 {
-        match self {
-            DbStore::Plain(s) => s.num_free(),
-            DbStore::Durable(d) => d.num_free(),
+        match &self.0 {
+            Backing::Plain(s) => s.num_free(),
+            Backing::Durable(d) => d.num_free(),
         }
     }
 
     fn num_pages(&self) -> u64 {
-        match self {
-            DbStore::Plain(s) => s.num_pages(),
-            DbStore::Durable(d) => d.num_pages(),
+        match &self.0 {
+            Backing::Plain(s) => s.num_pages(),
+            Backing::Durable(d) => d.num_pages(),
         }
     }
 
     fn sync(&self) -> Result<(), StorageError> {
-        match self {
-            DbStore::Plain(s) => s.sync(),
-            DbStore::Durable(d) => d.sync(),
+        match &self.0 {
+            Backing::Plain(s) => s.sync(),
+            Backing::Durable(d) => d.sync(),
         }
     }
 }

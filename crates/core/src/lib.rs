@@ -93,8 +93,8 @@ pub use aggregate::AggregateStats;
 pub use builder::{FlatIndexBuilder, StreamingStats, DEFAULT_SPILL_BUDGET};
 pub use continuous::{ContinuousQueryId, QueryDelta};
 pub use db::{
-    BuildReport, DbOptions, Durability, FlatDb, QueryBuilder, RecoveryReport, Snapshot, StoreRef,
-    WriteOp, Writer,
+    BuildReport, DbOptions, DbStore, Durability, FlatDb, QueryBuilder, RecoveryReport, Snapshot,
+    StoreRef, WriteOp, Writer,
 };
 pub use delta::{verify_compacted_store, DeltaIndex, DeltaReport};
 pub use engine::{BatchOutcome, EngineConfig, KnnBatchOutcome, QueryEngine};

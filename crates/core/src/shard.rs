@@ -1,13 +1,17 @@
-//! Sharded serving layer: K spatial shards, each behind its own
-//! [`DiskScheduler`].
+//! Sharded serving layer: K spatial shards, each a [`FlatDb`] session
+//! over its own [`DiskScheduler`].
 //!
 //! [`ShardedDb`] partitions the domain into K coarse x-slabs with the same
 //! STR machinery as Algorithm 1 ([`crate::partition::shard_regions`]).
-//! Each shard owns a full vertical slice of the system — a page store, a
-//! [`DiskScheduler`] (submission queues, read coalescing, priority lanes)
-//! behind a [`VersionedPool`], and a [`FlatIndex`] — so shards never
+//! Each shard is a full [`FlatDb`] — a page store, a [`DiskScheduler`]
+//! cache (submission queues, read coalescing, priority lanes) under the
+//! session's versioned pool, and the index lifecycle — so shards never
 //! contend on a buffer pool or a store mutex, and I/O for K shards
-//! proceeds on K independent worker pools.
+//! proceeds on K independent worker pools. `ShardedDb` itself is a
+//! router: it owns only what no single shard can know — the slab cuts,
+//! the per-shard coverage boxes, the id → owner table, the range
+//! concatenation, the global kNN frontier, the join shard-pair fan-out
+//! and the merged subscription sequence.
 //!
 //! Every shard's index is built over the **global** domain: FLAT's crawl
 //! is exhaustive only when the partition tiling covers the whole space a
@@ -35,41 +39,50 @@
 //!   `(page, slot)` order, which is not comparable across independently
 //!   built shards.
 //! * **Updates** route by a global id → shard owner table (populated at
-//!   build, maintained by every insert and delete), and promote **only
-//!   the shards a batch actually touches** to the delta layer — read-only
-//!   shards keep serving the cheaper pristine base-index crawl path.
+//!   build, maintained by every insert and delete) to the owning shard's
+//!   [`FlatDb::writer`]. Only the shards a batch actually touches are
+//!   promoted to the delta layer — read-only shards keep serving the
+//!   cheaper pristine base-index crawl path.
 //!
 //! # Snapshots
 //!
-//! Queries never block on updates: each shard is a miniature
-//! [`crate::FlatDb`] — a published resident view behind a read lock plus
-//! an [`EpochPin`] into the shard's [`VersionedPool`]. A query pins the
-//! shard's current epoch and reads that version of every page while a
-//! concurrent batch copy-on-writes new ones; the batch publishes its
-//! pages and the new resident view under the same write lock, so a
-//! snapshot is always element-consistent per shard.
+//! Every per-shard read runs on a [`Snapshot`] from [`FlatDb::reader`],
+//! so queries never block on updates and each shard gives exactly the
+//! guarantees of a [`FlatDb`]: a snapshot pins one epoch of the shard,
+//! and a batch in flight stays invisible until it publishes. A shard
+//! batch that fails is never published: that shard keeps serving its
+//! last published snapshot and refuses further writes with an error,
+//! while the other shards keep accepting them.
+//!
+//! The router adds one ordering rule. A shard's coverage box grows
+//! *before* its writer commits, and a query reads the box only *after*
+//! pinning the shard's snapshot, so a pinned snapshot never holds an
+//! element outside the box the query routes by. Coverage is only a
+//! routing bound, so a superset is harmless (a failed batch may leave it
+//! grown).
+//!
+//! Sharded sessions are **not** durable: every shard runs with
+//! [`crate::Durability::Off`], and a crash loses the shards' updates.
 
 use crate::continuous::{ContinuousQueries, ContinuousQueryId, QueryDelta, StagedOp};
-use crate::delta::DeltaIndex;
+use crate::db::{lock_unpoisoned, read_unpoisoned, write_unpoisoned, DbOptions, FlatDb, Snapshot};
+use crate::durable::DbStore;
 use crate::error::FlatError;
 use crate::index::{FlatIndex, FlatOptions};
-use crate::join::{JoinEngine, JoinInput, JoinResult, JoinStats};
+use crate::join::{JoinResult, JoinStats};
 use crate::knn::Neighbor;
 use crate::partition::shard_regions;
 use flat_geom::{Aabb, Point3};
 use flat_rtree::{Entry, Hit, LeafLayout};
 use flat_storage::{
-    BatchWriter, BufferPool, DiskScheduler, EpochPin, IoStats, MemStore, PageStore,
-    SchedulerConfig, SchedulerStats, StorageError, StoreCell, VersionStats, VersionedPool,
+    BufferPool, DiskScheduler, IoStats, MemStore, PageStore, SchedulerConfig, SchedulerStats,
+    StoreCell, VersionStats,
 };
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::{Mutex, RwLock};
 
-/// A shard's MVCC pool: a [`DiskScheduler`] cache over the shared store
-/// cell, versioned for snapshot reads.
-type ShardPool<S> = VersionedPool<S, DiskScheduler<StoreCell<S>>>;
-type ShardPin<'a, S> = EpochPin<'a, S, DiskScheduler<StoreCell<S>>>;
-type ShardBatch<'a, S> = BatchWriter<'a, S, DiskScheduler<StoreCell<S>>>;
+/// A shard's page cache: a [`DiskScheduler`] over the shard's store.
+type ShardCache<S> = DiskScheduler<StoreCell<DbStore<S>>>;
 
 /// Options for [`ShardedDb::build`].
 #[derive(Debug, Clone, Copy)]
@@ -98,62 +111,21 @@ impl Default for ShardOptions {
     }
 }
 
-/// A shard's index: pristine bulkload until the first update against
-/// *this shard* promotes it to the delta layer. Arcs make the published
-/// view cheap to clone into snapshots; the writer copy-on-writes the
-/// resident tables through [`Arc::make_mut`].
-#[derive(Clone)]
-enum ShardIndex {
-    Base(Arc<FlatIndex>),
-    Delta(Arc<DeltaIndex>),
-    /// A batch failed after its commit point. Queries keep serving the
-    /// last published snapshot; further updates panic.
-    Poisoned,
-}
-
-/// What a query snapshot captures: the resident index tables plus the
-/// routing bound, both as of one published epoch.
-#[derive(Clone)]
-struct ShardView {
-    index: ShardIndex,
-    /// Slab tile stretched to contain every owned element — what query
-    /// routing tests. Grows when inserts land outside it.
-    coverage: Aabb,
-}
-
 struct Shard<S: PageStore + Send + Sync + 'static> {
-    pool: ShardPool<S>,
-    /// Writer-side truth. The mutex serializes this shard's updates;
-    /// queries never take it.
-    truth: Mutex<ShardView>,
-    /// Reader-side view, swapped atomically with each batch publish.
-    published: RwLock<ShardView>,
+    db: FlatDb<S, ShardCache<S>>,
+    /// Slab tile stretched to contain every owned element — what query
+    /// routing tests. Grown before each insert commits (see the module
+    /// docs).
+    coverage: RwLock<Aabb>,
 }
 
 impl<S: PageStore + Send + Sync + 'static> Shard<S> {
-    /// Pins the shard's current epoch and clones the published view —
-    /// under the published read lock, so the pin and the view belong to
-    /// the same version (a concurrent publish lands entirely before or
-    /// entirely after).
-    fn snapshot(&self) -> (ShardView, ShardPin<'_, S>) {
-        let published = read(&self.published);
-        let pin = self.pool.pin();
-        let view = published.clone();
-        drop(published);
-        (view, pin)
+    /// Pins the shard, then reads its coverage — in that order, so the
+    /// box contains every element the snapshot can see.
+    fn pin(&self) -> (Snapshot<'_, S, ShardCache<S>>, Aabb) {
+        let snapshot = self.db.reader();
+        (snapshot, *read_unpoisoned(&self.coverage))
     }
-}
-
-fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|e| e.into_inner())
-}
-
-fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(|e| e.into_inner())
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A global kNN candidate: ordered by `(dist_sq, id)`, the sharded layer's
@@ -186,18 +158,18 @@ impl Ord for MergeCand {
     }
 }
 
-/// K spatial shards, each owning a store + [`DiskScheduler`] + index, with
-/// cross-shard query routing and a global exact kNN merge.
+/// K spatial shards, each a [`FlatDb`] over its own store and
+/// [`DiskScheduler`], with cross-shard query routing and a global exact
+/// kNN merge.
 ///
 /// All query and update entry points take `&self`. Queries are
-/// **wait-free with respect to updates**: they pin the shard's epoch and
-/// read the published snapshot, so a shard mid-batch keeps answering from
-/// its pre-batch version. Updates serialize per shard on the shard's
-/// truth mutex; traffic for different shards never contends. A query
-/// overlapping an in-flight multi-shard update may see some shards before
-/// and some after it, exactly like independent databases would — except
-/// kNN, which pins every shard up front and merges one consistent
-/// frontier.
+/// **wait-free with respect to updates**: they read each shard through a
+/// pinned [`Snapshot`], so a shard mid-batch keeps answering from its
+/// pre-batch version. Update calls serialize on the router's update lock
+/// (each call is one merged delta for subscribers). A query overlapping
+/// an in-flight multi-shard update may see some shards before and some
+/// after it, exactly like independent databases would — except kNN,
+/// which pins every shard up front and merges one consistent frontier.
 ///
 /// ```
 /// use flat_core::{ShardOptions, ShardedDb};
@@ -219,27 +191,31 @@ pub struct ShardedDb<S: PageStore + Send + Sync + 'static> {
     /// in `[cuts[i-1], cuts[i])` route to shard `i`.
     cuts: Vec<f64>,
     domain: Aabb,
-    /// Resolved per-shard index options (`domain` always `Some(global)`).
-    options: FlatOptions,
+    /// Held across a whole multi-shard [`ShardedDb::insert`] /
+    /// [`ShardedDb::delete`] call and across subscription registration,
+    /// so each subscriber sees exactly one merged delta per update call.
+    updates: Mutex<Router>,
+}
+
+/// The router's update-side state, behind [`ShardedDb`]'s update lock.
+#[derive(Default)]
+struct Router {
     /// Global id → owning shard, populated at build and maintained by
     /// every insert and delete. Routes deletes and liveness checks
     /// without promoting read-only shards.
-    owners: RwLock<HashMap<u64, u32>>,
-    /// Top-level continuous-query registry. The mutex is held across a
-    /// whole multi-shard [`ShardedDb::insert`] / [`ShardedDb::delete`]
-    /// call and across subscription registration, so each subscriber
-    /// sees exactly one merged delta per update call — stamped with a
-    /// database-level commit sequence, since the per-shard page epochs
-    /// advance independently.
-    subs: Mutex<ShardSubs>,
+    owners: HashMap<u64, u32>,
+    registry: ContinuousQueries,
+    /// Database-level commit sequence the merged deltas are stamped with
+    /// (the per-shard epochs advance independently).
+    seq: u64,
 }
 
-/// The sharded layer's subscription state: the registry plus the
-/// db-level commit sequence its deltas are stamped with.
-#[derive(Default)]
-struct ShardSubs {
-    registry: ContinuousQueries,
-    seq: u64,
+impl Router {
+    /// Folds one committed update call into every subscription.
+    fn commit(&mut self, op: StagedOp) {
+        self.seq += 1;
+        self.registry.apply_batch(&[op], self.seq);
+    }
 }
 
 impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
@@ -274,6 +250,11 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             None => Aabb::union_all(entries.iter().map(|e| e.mbr)),
         };
         options.index.domain = Some(domain);
+        let db_options = DbOptions {
+            index: options.index,
+            pool_pages: options.pool_pages,
+            ..DbOptions::default()
+        };
 
         let regions = shard_regions(entries, num_shards, &domain);
         let cuts = regions
@@ -287,18 +268,13 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             .enumerate()
             .map(|(i, region)| {
                 owners.extend(region.elements.iter().map(|e| (e.id, i as u32)));
-                let cell = StoreCell::new(store_factory(i));
+                let cell = StoreCell::new(DbStore::plain(store_factory(i)));
                 let mut pool = BufferPool::new(cell.clone(), options.pool_pages);
                 let (index, _) = FlatIndex::build(&mut pool, region.elements, options.index)?;
                 let scheduler = DiskScheduler::from_pool(pool, options.scheduler);
-                let view = ShardView {
-                    index: ShardIndex::Base(Arc::new(index)),
-                    coverage: region.coverage,
-                };
                 Ok(Shard {
-                    pool: VersionedPool::from_parts(cell, scheduler),
-                    truth: Mutex::new(view.clone()),
-                    published: RwLock::new(view),
+                    db: FlatDb::from_built(cell, scheduler, index, db_options),
+                    coverage: RwLock::new(region.coverage),
                 })
             })
             .collect::<Result<Vec<_>, FlatError>>()?;
@@ -306,9 +282,10 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             shards,
             cuts,
             domain,
-            options: options.index,
-            owners: RwLock::new(owners),
-            subs: Mutex::new(ShardSubs::default()),
+            updates: Mutex::new(Router {
+                owners,
+                ..Router::default()
+            }),
         })
     }
 
@@ -327,7 +304,7 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn shard_coverage(&self, i: usize) -> Aabb {
-        read(&self.shards[i].published).coverage
+        *read_unpoisoned(&self.shards[i].coverage)
     }
 
     /// True while shard `i` still serves the pristine bulkload — no
@@ -337,7 +314,7 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn shard_is_base(&self, i: usize) -> bool {
-        matches!(read(&self.shards[i].published).index, ShardIndex::Base(_))
+        self.shards[i].db.delta().is_none()
     }
 
     /// Shard `i`'s versioning counters (per-shard epochs).
@@ -345,26 +322,19 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// # Panics
     /// Panics if `i` is out of range.
     pub fn shard_version_stats(&self, i: usize) -> VersionStats {
-        self.shards[i].pool.version_stats()
+        self.shards[i].db.version_stats()
     }
 
     /// Live elements across all shards.
     pub fn num_live_elements(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| match &read(&s.published).index {
-                ShardIndex::Base(index) => index.num_elements(),
-                ShardIndex::Delta(delta) => delta.num_live_elements(),
-                ShardIndex::Poisoned => 0,
-            })
-            .sum()
+        self.shards.iter().map(|s| s.db.num_live_elements()).sum()
     }
 
     /// Aggregated I/O statistics across all shard pools.
     pub fn io_stats(&self) -> IoStats {
         let mut out = IoStats::default();
         for s in &self.shards {
-            out.accumulate(&s.pool.cache().stats());
+            out.accumulate(&s.db.io_stats());
         }
         out
     }
@@ -375,7 +345,7 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     pub fn scheduler_stats(&self) -> SchedulerStats {
         let mut out = SchedulerStats::default();
         for s in &self.shards {
-            out.accumulate(&s.pool.cache().scheduler_stats());
+            out.accumulate(&s.db.cache().scheduler_stats());
         }
         out
     }
@@ -384,15 +354,15 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// protocol).
     pub fn clear_cache(&self) {
         for s in &self.shards {
-            s.pool.cache().clear_cache();
+            s.db.clear_cache();
         }
     }
 
     /// Zeroes I/O and scheduler statistics in every shard.
     pub fn reset_stats(&self) {
         for s in &self.shards {
-            s.pool.cache().reset_stats();
-            s.pool.cache().reset_scheduler_stats();
+            s.db.reset_stats();
+            s.db.cache().reset_scheduler_stats();
         }
     }
 
@@ -403,17 +373,11 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// shard neither blocks the query nor leaks partial effects into it.
     pub fn range_query(&self, query: &Aabb) -> Result<Vec<Hit>, FlatError> {
         let mut hits = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let (view, pin) = shard.snapshot();
-            if !view.coverage.intersects(query) {
-                continue;
+        for shard in &self.shards {
+            let (snapshot, coverage) = shard.pin();
+            if coverage.intersects(query) {
+                hits.append(&mut snapshot.range(query)?);
             }
-            let mut part = match &view.index {
-                ShardIndex::Base(index) => index.range_query(&pin, query)?,
-                ShardIndex::Delta(delta) => delta.range_query(&pin, query)?,
-                ShardIndex::Poisoned => poisoned(i),
-            };
-            hits.append(&mut part);
         }
         hits.sort_unstable_by_key(|h| h.id);
         Ok(hits)
@@ -422,20 +386,15 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// Counts the live elements intersecting `query` without
     /// materializing them: shards whose coverage misses the box are
     /// skipped outright, the rest take the per-shard containment
-    /// early-exit ([`crate::Snapshot::aggregate_count`]). Shards hold
+    /// early-exit ([`Snapshot::aggregate_count`]). Shards hold
     /// disjoint elements, so the fan-out sum is exact.
     pub fn aggregate_count(&self, query: &Aabb) -> Result<u64, FlatError> {
         let mut total = 0;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let (view, pin) = shard.snapshot();
-            if !view.coverage.intersects(query) {
-                continue;
+        for shard in &self.shards {
+            let (snapshot, coverage) = shard.pin();
+            if coverage.intersects(query) {
+                total += snapshot.aggregate_count(query)?;
             }
-            total += match &view.index {
-                ShardIndex::Base(index) => index.aggregate_count(&pin, query)?,
-                ShardIndex::Delta(delta) => delta.aggregate_count(&pin, query)?,
-                ShardIndex::Poisoned => poisoned(i),
-            };
         }
         Ok(total)
     }
@@ -452,38 +411,32 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
 
     /// Joins this database (outer side) against another sharded
     /// database: every `(outer id, inner id)` element pair within
-    /// Euclidean distance `eps`, via [`JoinEngine`]'s link-graph
+    /// Euclidean distance `eps`, via [`crate::JoinEngine`]'s link-graph
     /// co-crawl, fanned out over the shard pairs whose coverage boxes
     /// are within `eps` of each other. Shards hold disjoint elements,
     /// so each result pair is produced by exactly one shard pair and
-    /// the merge is a plain sort.
+    /// the merge is a plain sort. A negative or non-finite `eps` is a
+    /// [`FlatError::Query`].
     pub fn join<S2: PageStore + Send + Sync + 'static>(
         &self,
         other: &ShardedDb<S2>,
         eps: f64,
     ) -> Result<JoinResult, FlatError> {
-        let engine = JoinEngine::new(eps);
-        let eps2 = eps * eps;
+        if !(eps.is_finite() && eps >= 0.0) {
+            return Err(FlatError::Query(format!(
+                "join distance must be finite and non-negative, got {eps}"
+            )));
+        }
+        let outer: Vec<_> = self.shards.iter().map(Shard::pin).collect();
+        let inner: Vec<_> = other.shards.iter().map(Shard::pin).collect();
         let mut pairs = Vec::new();
         let mut stats = JoinStats::default();
-        for (i, outer_shard) in self.shards.iter().enumerate() {
-            let (outer_view, outer_pin) = outer_shard.snapshot();
-            for (j, inner_shard) in other.shards.iter().enumerate() {
-                let (inner_view, inner_pin) = inner_shard.snapshot();
-                if outer_view.coverage.distance_sq(&inner_view.coverage) > eps2 {
+        for (outer_snapshot, outer_coverage) in &outer {
+            for (inner_snapshot, inner_coverage) in &inner {
+                if outer_coverage.distance_sq(inner_coverage) > eps * eps {
                     continue;
                 }
-                let outer = match &outer_view.index {
-                    ShardIndex::Base(index) => JoinInput::Flat(index),
-                    ShardIndex::Delta(delta) => JoinInput::Delta(delta),
-                    ShardIndex::Poisoned => poisoned(i),
-                };
-                let inner = match &inner_view.index {
-                    ShardIndex::Base(index) => JoinInput::Flat(index),
-                    ShardIndex::Delta(delta) => JoinInput::Delta(delta),
-                    ShardIndex::Poisoned => poisoned(j),
-                };
-                let result = engine.join(&outer_pin, outer, &inner_pin, inner)?;
+                let result = outer_snapshot.join(inner_snapshot, eps)?;
                 stats.absorb(&result.stats);
                 pairs.extend(result.pairs);
             }
@@ -501,22 +454,22 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// sequence (per-shard page epochs advance independently, so they
     /// cannot order cross-shard batches).
     pub fn subscribe(&self, range: Aabb) -> Result<(ContinuousQueryId, Vec<u64>), FlatError> {
-        // The registry mutex is held across every update call, so the
+        // The update lock is held across every update call, so the
         // baseline query cannot observe half of one.
-        let mut subs = lock(&self.subs);
+        let mut router = lock_unpoisoned(&self.updates);
         let baseline: Vec<u64> = self
             .range_query(&range)?
             .into_iter()
             .map(|h| h.id)
             .collect();
-        let id = subs.registry.register(range, baseline.iter().copied());
+        let id = router.registry.register(range, baseline.iter().copied());
         Ok((id, baseline))
     }
 
     /// Drains the undelivered [`QueryDelta`]s of a subscription, oldest
     /// first — one per update call committed since the last poll.
     pub fn poll_changes(&self, id: ContinuousQueryId) -> Result<Vec<QueryDelta>, FlatError> {
-        lock(&self.subs)
+        lock_unpoisoned(&self.updates)
             .registry
             .poll(id)
             .ok_or_else(|| FlatError::Query(format!("unknown continuous query {id:?}")))
@@ -525,7 +478,7 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// The subscription's current result set, ascending: the baseline
     /// plus every committed delta (including ones not yet polled).
     pub fn continuous_result(&self, id: ContinuousQueryId) -> Result<Vec<u64>, FlatError> {
-        lock(&self.subs)
+        lock_unpoisoned(&self.updates)
             .registry
             .result(id)
             .ok_or_else(|| FlatError::Query(format!("unknown continuous query {id:?}")))
@@ -534,7 +487,7 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
     /// Drops a subscription; delivery stops immediately. `false` if the
     /// handle was unknown (already dropped).
     pub fn unsubscribe(&self, id: ContinuousQueryId) -> bool {
-        lock(&self.subs).registry.unregister(id)
+        lock_unpoisoned(&self.updates).registry.unregister(id)
     }
 
     /// Returns the `k` elements nearest to `point` across all shards,
@@ -552,29 +505,21 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         }
         // Pin all shards before reading any: the frontier the merge
         // bounds against is one epoch vector, not a moving target.
-        let snaps: Vec<(ShardView, ShardPin<'_, S>)> =
-            self.shards.iter().map(Shard::snapshot).collect();
-        let mut order: Vec<(f64, usize)> = snaps
+        let pinned: Vec<_> = self.shards.iter().map(Shard::pin).collect();
+        let mut order: Vec<(f64, usize)> = pinned
             .iter()
             .enumerate()
-            .map(|(i, (view, _))| (view.coverage.distance_sq_to_point(&point), i))
+            .map(|(i, (_, coverage))| (coverage.distance_sq_to_point(&point), i))
             .collect();
         order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         // Running top-k: max-heap of the k best (dist_sq, id) candidates.
-        let mut best: std::collections::BinaryHeap<MergeCand> =
-            std::collections::BinaryHeap::with_capacity(k + 1);
+        let mut best: BinaryHeap<MergeCand> = BinaryHeap::with_capacity(k + 1);
         for (lower_bound, i) in order {
-            if best.len() == k && lower_bound > best.peek().expect("len == k >= 1").dist_sq {
+            if best.len() == k && best.peek().is_some_and(|worst| lower_bound > worst.dist_sq) {
                 break;
             }
-            let (view, pin) = &snaps[i];
-            let stream = match &view.index {
-                ShardIndex::Base(index) => index.knn_query(pin, point, k)?,
-                ShardIndex::Delta(delta) => delta.knn_query(pin, point, k)?,
-                ShardIndex::Poisoned => poisoned(i),
-            };
-            for neighbor in stream {
+            for neighbor in pinned[i].0.knn(point, k)? {
                 let cand = MergeCand {
                     dist_sq: neighbor.dist_sq,
                     id: neighbor.hit.id,
@@ -582,13 +527,13 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
                 };
                 if best.len() < k {
                     best.push(cand);
-                } else if cand < *best.peek().expect("len == k >= 1") {
-                    best.pop();
-                    best.push(cand);
-                } else {
+                    continue;
+                }
+                match best.peek_mut() {
+                    Some(mut worst) if cand < *worst => *worst = cand,
                     // The per-shard stream is ascending: everything after
                     // this candidate is at least as far.
-                    break;
+                    _ => break,
                 }
             }
         }
@@ -601,33 +546,37 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
 
     /// Inserts `entries`, routing each by its center's x coordinate along
     /// the slab cuts. Only the shards that receive elements are promoted
-    /// to the delta layer. Returns [`FlatError::Update`] if an id is
-    /// already live.
+    /// to the delta layer.
     ///
-    /// # Panics
-    /// Panics if two entries *of this batch* share an id, or if a
-    /// concurrent insert races the same id past the liveness check (the
-    /// same contract as [`DeltaIndex::insert_batch`]).
+    /// Returns [`FlatError::Update`], before any shard is touched, if an
+    /// id is already live or two entries of this batch share an id. A
+    /// shard whose batch fails returns its error here and refuses
+    /// further writes; shards written earlier in the same call keep
+    /// their inserts.
     pub fn insert(&self, entries: Vec<Entry>) -> Result<(), FlatError> {
         if entries.is_empty() {
             return Ok(());
         }
         // Held across the whole multi-shard apply: subscribers see the
         // call as one batch, and a registration cannot interleave with
-        // a half-applied insert (see the `subs` field docs).
-        let mut subs = lock(&self.subs);
-        let staged = StagedOp::Insert(entries.iter().map(|e| (e.id, e.mbr)).collect());
-        {
-            let owners = read(&self.owners);
-            for e in &entries {
-                if owners.contains_key(&e.id) {
-                    return Err(FlatError::Update(format!(
-                        "insert of id {} which is already live",
-                        e.id
-                    )));
-                }
+        // a half-applied insert (see the `updates` field docs).
+        let mut router = lock_unpoisoned(&self.updates);
+        let mut batch_ids = HashSet::with_capacity(entries.len());
+        for e in &entries {
+            if router.owners.contains_key(&e.id) {
+                return Err(FlatError::Update(format!(
+                    "insert of id {} which is already live",
+                    e.id
+                )));
+            }
+            if !batch_ids.insert(e.id) {
+                return Err(FlatError::Update(format!(
+                    "insert batch holds id {} twice",
+                    e.id
+                )));
             }
         }
+        let staged = StagedOp::Insert(entries.iter().map(|e| (e.id, e.mbr)).collect());
         let mut routed: Vec<Vec<Entry>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         for e in entries {
             routed[self.route(e.mbr.center().x)].push(e);
@@ -636,16 +585,19 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             if batch.is_empty() {
                 continue;
             }
+            let shard = &self.shards[i];
             let ids: Vec<u64> = batch.iter().map(|e| e.id).collect();
-            let grown = Aabb::union_all(batch.iter().map(|e| e.mbr));
-            self.update_shard(i, Some(grown), |delta, pool| {
-                delta.insert_batch(pool, batch)
-            })?;
-            write(&self.owners).extend(ids.into_iter().map(|id| (id, i as u32)));
+            {
+                // Grow the routing bound before the commit can publish.
+                let mut coverage = write_unpoisoned(&shard.coverage);
+                *coverage = batch.iter().fold(*coverage, |c, e| c.union(&e.mbr));
+            }
+            shard.db.writer()?.insert(batch)?;
+            router
+                .owners
+                .extend(ids.into_iter().map(|id| (id, i as u32)));
         }
-        subs.seq += 1;
-        let seq = subs.seq;
-        subs.registry.apply_batch(&[staged], seq);
+        router.commit(staged);
         Ok(())
     }
 
@@ -657,15 +609,12 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
         if ids.is_empty() {
             return Ok(0);
         }
-        // Same batching discipline as `insert` (see the `subs` docs).
-        let mut subs = lock(&self.subs);
+        // Same batching discipline as `insert` (see the `updates` docs).
+        let mut router = lock_unpoisoned(&self.updates);
         let mut routed: Vec<Vec<u64>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
-        {
-            let owners = read(&self.owners);
-            for &id in ids {
-                if let Some(&s) = owners.get(&id) {
-                    routed[s as usize].push(id);
-                }
+        for &id in ids {
+            if let Some(&s) = router.owners.get(&id) {
+                routed[s as usize].push(id);
             }
         }
         let mut deleted = 0;
@@ -673,69 +622,13 @@ impl<S: PageStore + Send + Sync + 'static> ShardedDb<S> {
             if owned.is_empty() {
                 continue;
             }
-            deleted +=
-                self.update_shard(i, None, |delta, pool| delta.delete_batch(pool, &owned))?;
-            let mut owners = write(&self.owners);
+            deleted += self.shards[i].db.writer()?.delete(&owned)?;
             for id in &owned {
-                owners.remove(id);
+                router.owners.remove(id);
             }
         }
-        subs.seq += 1;
-        let seq = subs.seq;
-        subs.registry
-            .apply_batch(&[StagedOp::Delete(ids.to_vec())], seq);
+        router.commit(StagedOp::Delete(ids.to_vec()));
         Ok(deleted)
-    }
-
-    /// Runs one delta batch against shard `i`: serializes on the shard's
-    /// truth mutex, promotes a pristine shard to the delta layer (lazily —
-    /// only now, only this shard), copy-on-writes the resident tables and
-    /// the touched pages, and publishes the new view and epoch atomically
-    /// under the published write lock. Queries pinned before the publish
-    /// keep their version; an apply error aborts the batch (readers stay
-    /// on the pre-batch snapshot) and poisons the shard.
-    fn update_shard<R>(
-        &self,
-        i: usize,
-        grow: Option<Aabb>,
-        apply: impl FnOnce(&mut DeltaIndex, &mut ShardBatch<'_, S>) -> Result<R, StorageError>,
-    ) -> Result<R, FlatError> {
-        let shard = &self.shards[i];
-        let mut truth = lock(&shard.truth);
-        if let ShardIndex::Base(base) = &truth.index {
-            // Promotion writes no pages (the delta layer adopts the base
-            // read-only), so no epoch bump is needed: publish just swaps
-            // the resident view.
-            let delta = DeltaIndex::new(&shard.pool, (**base).clone(), self.options)?;
-            truth.index = ShardIndex::Delta(Arc::new(delta));
-            *write(&shard.published) = truth.clone();
-        }
-        let mut batch = shard.pool.begin_batch();
-        let result = {
-            let ShardIndex::Delta(arc) = &mut truth.index else {
-                poisoned(i)
-            };
-            apply(Arc::make_mut(arc), &mut batch)
-        };
-        match result {
-            Err(e) => {
-                // Dropping the unpublished batch aborts it: the pending
-                // overlay keeps every reader (current and future) on the
-                // pre-batch version, but truth may hold half-applied
-                // resident tables — poison the shard.
-                truth.index = ShardIndex::Poisoned;
-                Err(e.into())
-            }
-            Ok(r) => {
-                if let Some(grown) = grow {
-                    truth.coverage = truth.coverage.union(&grown);
-                }
-                let mut published = write(&shard.published);
-                batch.publish();
-                *published = truth.clone();
-                Ok(r)
-            }
-        }
     }
 
     /// Routes an element center to its owning shard.
@@ -762,11 +655,6 @@ impl<S: PageStore + Send + Sync + 'static> std::fmt::Debug for ShardedDb<S> {
             .field("domain", &self.domain)
             .finish_non_exhaustive()
     }
-}
-
-#[track_caller]
-fn poisoned(shard: usize) -> ! {
-    panic!("shard {shard} was poisoned by a failed update batch");
 }
 
 #[cfg(test)]
@@ -1140,6 +1028,15 @@ mod tests {
     }
 
     #[test]
+    fn sharded_join_rejects_a_bad_distance() {
+        let db = ShardedDb::build_in_memory(2, random_entries(200, 75), ShardOptions::default())
+            .unwrap();
+        for eps in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(db.join(&db, eps), Err(FlatError::Query(_))));
+        }
+    }
+
+    #[test]
     fn sharded_continuous_queries_merge_per_update_call() {
         let entries = random_entries(1_500, 74);
         let db = ShardedDb::build_in_memory(3, entries.clone(), ShardOptions::default()).unwrap();
@@ -1185,5 +1082,105 @@ mod tests {
         assert_eq!(db.continuous_result(sub).unwrap(), fresh_query);
         assert!(db.unsubscribe(sub));
         assert!(db.poll_changes(sub).is_err());
+    }
+
+    #[test]
+    fn insert_rejects_duplicate_ids_within_one_call() {
+        let entries = random_entries(1_000, 29);
+        let db = ShardedDb::build_in_memory(2, entries.clone(), ShardOptions::default()).unwrap();
+        // One id, two centers on opposite sides of the slab cut.
+        let twins = vec![
+            Entry::new(50_000, Aabb::cube(Point3::new(5.0, 50.0, 50.0), 0.4)),
+            Entry::new(50_000, Aabb::cube(Point3::new(95.0, 50.0, 50.0), 0.4)),
+        ];
+        assert_ne!(db.route(5.0), db.route(95.0));
+        let err = db.insert(twins).unwrap_err();
+        assert!(matches!(err, FlatError::Update(_)), "{err}");
+        // Rejected before any shard was touched.
+        assert!(db.shard_is_base(0) && db.shard_is_base(1));
+        assert_eq!(db.num_live_elements(), 1_000);
+        let everything = Aabb::cube(Point3::splat(50.0), 60.0);
+        let got: Vec<u64> = db
+            .range_query(&everything)
+            .unwrap()
+            .iter()
+            .map(|h| h.id)
+            .collect();
+        assert_eq!(got, reference_range(&entries, &everything));
+
+        // The id is still free: one copy inserts, and deletes cleanly.
+        db.insert(vec![Entry::new(
+            50_000,
+            Aabb::cube(Point3::new(95.0, 50.0, 50.0), 0.4),
+        )])
+        .unwrap();
+        assert_eq!(db.delete(&[50_000]).unwrap(), 1);
+        assert_eq!(db.num_live_elements(), 1_000);
+    }
+
+    #[test]
+    fn failed_shard_batch_errors_and_keeps_serving() {
+        use flat_storage::FaultStore;
+
+        let entries = random_entries(1_200, 30);
+        // A probe build counts the page writes shard 1's bulkload makes;
+        // the real shard 1 crashes on the first write after them.
+        let probe = ShardedDb::build(2, entries.clone(), ShardOptions::default(), |_| {
+            FaultStore::new(MemStore::new())
+        })
+        .unwrap();
+        let build_writes = probe.shards[1].db.store().writes_done();
+        let db = ShardedDb::build(2, entries.clone(), ShardOptions::default(), |i| {
+            if i == 1 {
+                FaultStore::crash_after(MemStore::new(), build_writes)
+            } else {
+                FaultStore::new(MemStore::new())
+            }
+        })
+        .unwrap();
+
+        let q = Aabb::cube(Point3::splat(50.0), 30.0);
+        let p = Point3::new(80.0, 50.0, 50.0);
+        let answers = |db: &ShardedDb<FaultStore<MemStore>>| {
+            let range: Vec<u64> = db.range_query(&q).unwrap().iter().map(|h| h.id).collect();
+            let knn: Vec<(f64, u64)> = db
+                .knn_query(p, 12)
+                .unwrap()
+                .iter()
+                .map(|n| (n.dist_sq, n.hit.id))
+                .collect();
+            (range, knn, db.aggregate_count(&q).unwrap())
+        };
+        let before = answers(&db);
+        assert_eq!(before.0, reference_range(&entries, &q));
+
+        let doomed = Entry::new(60_000, Aabb::cube(Point3::new(95.0, 50.0, 50.0), 0.4));
+        assert_eq!(db.route(95.0), 1);
+        assert!(db.insert(vec![doomed]).is_err());
+        assert!(db.shards[1].db.store().crashed());
+
+        // Readers keep the pre-batch answers; nothing counts as lost.
+        assert_eq!(answers(&db), before);
+        assert_eq!(db.num_live_elements(), 1_200);
+
+        // The failed shard refuses writes; the other shard takes them.
+        assert!(db.insert(vec![doomed]).is_err());
+        let owned_by_1 = entries
+            .iter()
+            .find(|e| db.route(e.mbr.center().x) == 1)
+            .unwrap()
+            .id;
+        assert!(db.delete(&[owned_by_1]).is_err());
+        let fresh = Entry::new(60_001, Aabb::cube(Point3::new(5.0, 50.0, 50.0), 0.4));
+        assert_eq!(db.route(5.0), 0);
+        db.insert(vec![fresh]).unwrap();
+        let near: Vec<u64> = db
+            .range_query(&Aabb::cube(Point3::new(5.0, 50.0, 50.0), 0.5))
+            .unwrap()
+            .iter()
+            .map(|h| h.id)
+            .collect();
+        assert!(near.contains(&60_001));
+        assert_eq!(db.num_live_elements(), 1_201);
     }
 }
