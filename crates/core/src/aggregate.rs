@@ -14,10 +14,10 @@
 
 use crate::delta::DeltaIndex;
 use crate::index::FlatIndex;
-use crate::meta::{decode_meta_record, MetaRecordId};
-use crate::query::{is_live, CrawlState, QueryStats, Tombstones};
+use crate::meta::{for_each_neighbor, MetaRecordId, MetaRecordRef};
+use crate::query::{CrawlScope, CrawlState, QueryStats};
 use flat_geom::Aabb;
-use flat_rtree::node::decode_leaf;
+use flat_rtree::node::LeafRef;
 use flat_storage::{PageKind, PageRead, StorageError};
 
 /// Per-aggregate counters: the crawl side plus the early-exit bookkeeping
@@ -47,7 +47,7 @@ fn aggregate_crawl(
     pool: &impl PageRead,
     query: &Aabb,
     seed: MetaRecordId,
-    tombstones: Option<&Tombstones>,
+    scope: &CrawlScope<'_>,
     live_count: Option<&dyn Fn(MetaRecordId) -> Option<u64>>,
     stats: &mut AggregateStats,
 ) -> Result<u64, StorageError> {
@@ -55,10 +55,8 @@ fn aggregate_crawl(
     let mut count = 0u64;
     while let Some(addr) = state.queue.pop_front() {
         stats.records_processed += 1;
-        let record = {
-            let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-            decode_meta_record(&page, addr.slot)?
-        };
+        let meta_page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
+        let record = MetaRecordRef::read(&meta_page, addr.slot)?;
         if record.is_dead {
             continue;
         }
@@ -78,23 +76,21 @@ fn aggregate_crawl(
                 } else {
                     stats.object_pages_read += 1;
                     let page = pool.read_page(record.object_page, PageKind::ObjectPage)?;
-                    let (_, entries) = decode_leaf(&page)?;
-                    count += entries
-                        .iter()
-                        .enumerate()
-                        .filter(|&(slot, _)| is_live(tombstones, record.object_page, slot))
+                    let leaf = LeafRef::new(&page)?;
+                    count += (0..leaf.len())
+                        .filter(|&slot| scope.is_live(record.object_page, slot))
                         .count() as u64;
                 }
             } else {
                 stats.object_pages_read += 1;
                 let page = pool.read_page(record.object_page, PageKind::ObjectPage)?;
-                let (_, entries) = decode_leaf(&page)?;
-                stats.mbr_tests += entries.len() as u64;
-                count += entries
-                    .iter()
+                let leaf = LeafRef::new(&page)?;
+                stats.mbr_tests += leaf.len() as u64;
+                count += leaf
+                    .entries()
                     .enumerate()
-                    .filter(|&(slot, e)| {
-                        is_live(tombstones, record.object_page, slot) && query.intersects(&e.mbr)
+                    .filter(|(slot, e)| {
+                        scope.is_live(record.object_page, *slot) && query.intersects(&e.mbr)
                     })
                     .count() as u64;
             }
@@ -102,24 +98,12 @@ fn aggregate_crawl(
 
         stats.mbr_tests += 1;
         if record.partition_mbr.intersects(query) {
-            for neighbor in record.neighbors {
+            for_each_neighbor(pool, &record, scope.chain_limit, |neighbor| {
                 if state.seen.insert(neighbor) {
                     state.queue.push_back(neighbor);
                 }
-            }
-            let mut next = record.continuation;
-            while let Some(chunk_addr) = next {
-                let chunk = {
-                    let page = pool.read_page(chunk_addr.page, PageKind::SeedLeaf)?;
-                    decode_meta_record(&page, chunk_addr.slot)?
-                };
-                for neighbor in chunk.neighbors {
-                    if state.seen.insert(neighbor) {
-                        state.queue.push_back(neighbor);
-                    }
-                }
-                next = chunk.continuation;
-            }
+                Ok(())
+            })?;
         }
     }
     Ok(count)
@@ -154,12 +138,13 @@ impl FlatIndex {
         stats: &mut AggregateStats,
     ) -> Result<u64, StorageError> {
         let mut seed_stats = QueryStats::default();
-        let Some(seed) = self.seed(pool, query, &mut seed_stats, None, None)? else {
+        let scope = self.scope();
+        let Some(seed) = self.seed(pool, query, &mut seed_stats, None, &scope)? else {
             return Ok(0);
         };
         stats.object_pages_read += seed_stats.object_pages_read;
         stats.mbr_tests += seed_stats.mbr_tests;
-        aggregate_crawl(pool, query, seed, None, None, stats)
+        aggregate_crawl(pool, query, seed, &scope, None, stats)
     }
 
     /// Elements per unit volume inside `query` (zero for degenerate
@@ -197,14 +182,7 @@ impl DeltaIndex {
         stats.object_pages_read += seed_stats.object_pages_read;
         stats.mbr_tests += seed_stats.mbr_tests;
         let live_count = |addr: MetaRecordId| self.live_count_at(addr);
-        aggregate_crawl(
-            pool,
-            query,
-            seed,
-            Some(self.tombstones()),
-            Some(&live_count),
-            stats,
-        )
+        aggregate_crawl(pool, query, seed, &self.scope(), Some(&live_count), stats)
     }
 
     /// Live elements per unit volume inside `query` (zero for degenerate

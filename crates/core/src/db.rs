@@ -2011,6 +2011,35 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_seed_leaf_count_is_an_error_not_a_panic() {
+        use flat_storage::{BufferPool, MemStore, Page, PageStore};
+        let mut pool = BufferPool::new(MemStore::new(), 1 << 12);
+        let (index, _) =
+            FlatIndex::build(&mut pool, random_entries(5_000, 12), FlatOptions::default()).unwrap();
+        let descriptor = index.save(&mut pool).unwrap();
+        let mut store = pool.into_store();
+        // Give every seed leaf a record count no page can hold.
+        let mut page = Page::new();
+        let mut corrupted = 0;
+        for raw in 0..store.num_pages() {
+            let id = PageId(raw);
+            store.read_page(id, &mut page).unwrap();
+            if crate::meta::meta_leaf_len(&page).is_ok() {
+                page.put_u16(2, 0x3000);
+                store.write_page(id, &page).unwrap();
+                corrupted += 1;
+            }
+        }
+        assert!(corrupted > 0);
+
+        let db = FlatDb::open(store, descriptor, DbOptions::default()).unwrap();
+        let reader = db.reader();
+        let q = Aabb::cube(Point3::splat(50.0), 30.0);
+        assert!(reader.range(&q).is_err());
+        assert!(reader.knn(Point3::splat(50.0), 5).is_err());
+    }
+
+    #[test]
     fn persist_requires_no_mutation_to_roundtrip() {
         let dir = std::env::temp_dir().join("flat-core-db-test");
         std::fs::create_dir_all(&dir).unwrap();

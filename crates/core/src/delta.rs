@@ -57,14 +57,15 @@ use crate::builder::FlatIndexBuilder;
 use crate::index::{BuildStats, FlatIndex, FlatOptions};
 use crate::knn::{KnnStats, Neighbor};
 use crate::meta::{
-    assign_slots, decode_meta_leaf, decode_meta_record, encode_meta_leaf, max_neighbors_per_record,
-    MetaRecord, MetaRecordId, PlannedRecord,
+    assign_slots, chain_limit, decode_meta_leaf, decode_meta_record, encode_meta_leaf,
+    for_each_neighbor, max_neighbors_per_record, MetaRecord, MetaRecordId, MetaRecordRef,
+    PlannedRecord,
 };
 use crate::neighbors::NeighborSweep;
 use crate::partition::partition;
-use crate::query::{is_live, CrawlHinter, CrawlState, QueryStats, Tombstones};
+use crate::query::{CrawlHinter, CrawlScope, CrawlState, QueryStats, Tombstones};
 use flat_geom::{Aabb, Point3};
-use flat_rtree::node::{decode_inner, decode_leaf, encode_leaf};
+use flat_rtree::node::{decode_inner, decode_leaf, encode_leaf, LeafRef};
 use flat_rtree::{leaf_capacity, Entry, Hit, LeafLayout};
 use flat_storage::{Page, PageId, PageKind, PageRead, PageStore, PageWrite, StorageError};
 use std::collections::{HashMap, HashSet};
@@ -326,7 +327,7 @@ impl DeltaIndex {
             let (_, entries) = decode_leaf(&page)?;
             let mut live = 0u32;
             for (slot, e) in entries.iter().enumerate() {
-                if !is_live(Some(&delta.tombstones), object_page, slot) {
+                if !delta.scope().is_live(object_page, slot) {
                     continue;
                 }
                 live += 1;
@@ -407,9 +408,18 @@ impl DeltaIndex {
         &self.base
     }
 
-    /// The deleted-element set, for the crawl's scan filter.
+    /// The deleted-element set (persisted by checkpoints).
     pub(crate) fn tombstones(&self) -> &Tombstones {
         &self.tombstones
+    }
+
+    /// The crawl scope: tombstones hide deleted elements, and chains are
+    /// bounded by every metadata page the index owns (base and delta).
+    pub(crate) fn scope(&self) -> CrawlScope<'_> {
+        CrawlScope {
+            tombstones: Some(&self.tombstones),
+            chain_limit: chain_limit(self.meta_pages.len() as u64),
+        }
     }
 
     /// Resident live-element count of the partition whose primary record
@@ -787,16 +797,18 @@ impl DeltaIndex {
         d: u32,
     ) -> Result<(), StorageError> {
         let d_rec = self.parts[d as usize].record;
-        let d_nbrs = read_chain_neighbors(pool, d_rec)?;
+        let limit = self.scope().chain_limit;
+        let d_nbrs = read_chain_neighbors(pool, d_rec, limit)?;
         // Resolve neighbors to partition indices and collect each one's
         // full link set (for the clique check).
         let mut nbr_idx: Vec<u32> = Vec::with_capacity(d_nbrs.len());
         let mut link_sets: HashMap<u32, HashSet<MetaRecordId>> = HashMap::new();
         for addr in &d_nbrs {
-            let &idx = self
-                .by_record
-                .get(addr)
-                .expect("neighbor pointer to an unknown record");
+            let &idx = self.by_record.get(addr).ok_or_else(|| {
+                StorageError::Corrupt(format!(
+                    "neighbor chain of {d_rec:?} links to unknown record {addr:?}"
+                ))
+            })?;
             if self.parts[idx as usize].dead {
                 // Retirement prunes every inbound link before flagging a
                 // record dead, so a link into a dead partition means the
@@ -808,14 +820,14 @@ impl DeltaIndex {
                 )));
             }
             nbr_idx.push(idx);
-            let links = read_chain_neighbors(pool, *addr)?;
+            let links = read_chain_neighbors(pool, *addr, limit)?;
             link_sets.insert(idx, links.into_iter().collect());
         }
         nbr_idx.sort_unstable();
 
         // Prune the dead partition out of each neighbor's chain.
         for &a in &nbr_idx {
-            remove_neighbor(pool, self.parts[a as usize].record, d_rec)?;
+            remove_neighbor(pool, self.parts[a as usize].record, d_rec, limit)?;
         }
 
         // Clique repair: every pair of former neighbors that is not
@@ -900,7 +912,7 @@ impl DeltaIndex {
                 entries
                     .iter()
                     .enumerate()
-                    .filter(|&(slot, _)| is_live(Some(&self.tombstones), part.object_page, slot))
+                    .filter(|&(slot, _)| self.scope().is_live(part.object_page, slot))
                     .map(|(_, e)| *e),
             );
         }
@@ -946,15 +958,11 @@ impl DeltaIndex {
             return Ok(hits);
         };
         let mut state = CrawlState::start(seed);
-        while !self.base.crawl_step(
-            pool,
-            query,
-            &mut state,
-            stats,
-            &mut hits,
-            None,
-            Some(&self.tombstones),
-        )? {}
+        let scope = self.scope();
+        while !self
+            .base
+            .crawl_step(pool, query, &mut state, stats, &mut hits, None, &scope)?
+        {}
         stats.result_count = hits.len() as u64;
         Ok(hits)
     }
@@ -969,8 +977,8 @@ impl DeltaIndex {
         stats: &mut QueryStats,
         hinter: Option<&dyn CrawlHinter>,
     ) -> Result<Option<MetaRecordId>, StorageError> {
-        let t = Some(&self.tombstones);
-        if let Some(seed) = self.base.seed(pool, query, stats, hinter, t)? {
+        let scope = self.scope();
+        if let Some(seed) = self.base.seed(pool, query, stats, hinter, &scope)? {
             return Ok(Some(seed));
         }
         for part in &self.parts[self.base_partitions..] {
@@ -984,12 +992,11 @@ impl DeltaIndex {
             stats.object_pages_read += 1;
             let found = {
                 let page = pool.read_page(part.object_page, PageKind::ObjectPage)?;
-                let (_, entries) = decode_leaf(&page)?;
-                stats.mbr_tests += entries.len() as u64;
-                entries
-                    .iter()
+                let leaf = LeafRef::new(&page)?;
+                stats.mbr_tests += leaf.len() as u64;
+                leaf.entries()
                     .enumerate()
-                    .any(|(s, e)| is_live(t, part.object_page, s) && query.intersects(&e.mbr))
+                    .any(|(s, e)| scope.is_live(part.object_page, s) && query.intersects(&e.mbr))
             };
             if found {
                 return Ok(Some(part.record));
@@ -1047,15 +1054,8 @@ impl DeltaIndex {
         let Some(seed) = self.knn_seed(pool, point)? else {
             return Ok(Vec::new());
         };
-        self.base.knn(
-            pool,
-            point,
-            k,
-            stats,
-            hinter,
-            Some(seed),
-            Some(&self.tombstones),
-        )
+        self.base
+            .knn(pool, point, k, stats, hinter, Some(seed), &self.scope())
     }
 
     /// Delta-aware kNN seed: the base best-first descent against a linear
@@ -1183,7 +1183,7 @@ impl DeltaIndex {
             let (_, entries) = decode_leaf(&page).map_err(|e| format!("partition {i}: {e}"))?;
             let mut live = 0u32;
             for (slot, e) in entries.iter().enumerate() {
-                if !is_live(Some(&self.tombstones), part.object_page, slot) {
+                if !self.scope().is_live(part.object_page, slot) {
                     continue;
                 }
                 live += 1;
@@ -1300,19 +1300,19 @@ pub fn verify_compacted_store(
 }
 
 /// Reads the full neighbor list of a record by walking its continuation
-/// chain.
+/// chain (at most `chain_limit` chunks).
 fn read_chain_neighbors(
     pool: &impl PageRead,
     record: MetaRecordId,
+    chain_limit: usize,
 ) -> Result<Vec<MetaRecordId>, StorageError> {
+    let page = pool.read_page(record.page, PageKind::SeedLeaf)?;
+    let head = MetaRecordRef::read(&page, record.slot)?;
     let mut nbrs = Vec::new();
-    let mut at = Some(record);
-    while let Some(addr) = at {
-        let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-        let chunk = decode_meta_record(&page, addr.slot)?;
-        nbrs.extend(chunk.neighbors);
-        at = chunk.continuation;
-    }
+    for_each_neighbor(pool, &head, chain_limit, |n| {
+        nbrs.push(n);
+        Ok(())
+    })?;
     Ok(nbrs)
 }
 
@@ -1333,22 +1333,31 @@ fn edit_record<P: PageRead + PageWrite>(
 }
 
 /// Removes `target` from `record`'s neighbor list, wherever in the chain
-/// it appears.
+/// (of at most `chain_limit` continuation chunks) it appears.
 fn remove_neighbor<P: PageRead + PageWrite>(
     pool: &mut P,
     record: MetaRecordId,
     target: MetaRecordId,
+    chain_limit: usize,
 ) -> Result<(), StorageError> {
     let mut at = Some(record);
+    let mut chunks = 0usize;
     while let Some(addr) = at {
-        let chunk = {
+        if chunks > chain_limit {
+            return Err(StorageError::Corrupt(format!(
+                "continuation chain of {record:?} exceeds {chain_limit} chunks (cycle through {addr:?})"
+            )));
+        }
+        chunks += 1;
+        let (found, next) = {
             let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-            decode_meta_record(&page, addr.slot)?
+            let chunk = MetaRecordRef::read(&page, addr.slot)?;
+            (chunk.neighbors().any(|n| n == target), chunk.continuation)
         };
-        if chunk.neighbors.contains(&target) {
+        if found {
             return edit_record(pool, addr, |r| r.neighbors.retain(|n| *n != target));
         }
-        at = chunk.continuation;
+        at = next;
     }
     // Links are symmetric: the caller found `record` in `target`'s chain,
     // so `target` must appear in `record`'s. Falling through means the
@@ -1413,7 +1422,7 @@ mod tests {
             page: record.page,
             slot: u16::MAX,
         };
-        let err = remove_neighbor(&mut pool, record, bogus).unwrap_err();
+        let err = remove_neighbor(&mut pool, record, bogus, delta.scope().chain_limit).unwrap_err();
         assert!(
             err.to_string().contains("not present in the chain"),
             "unexpected error: {err}"

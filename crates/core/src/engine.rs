@@ -30,8 +30,8 @@
 use crate::delta::DeltaIndex;
 use crate::index::FlatIndex;
 use crate::knn::Neighbor;
-use crate::meta::{decode_meta_record, MetaRecord, MetaRecordId};
-use crate::query::{CrawlHinter, CrawlState, Tombstones};
+use crate::meta::{MetaRecordId, MetaRecordRef};
+use crate::query::{CrawlHinter, CrawlScope, CrawlState};
 use crate::QueryStats;
 use flat_geom::{Aabb, Point3};
 use flat_storage::{IoStats, Page, PageId, PageKind, PageRead, StorageError};
@@ -204,8 +204,11 @@ impl<'a, P: PageRead + Sync> QueryEngine<'a, P> {
         }
     }
 
-    fn tombstones(&self) -> Option<&'a Tombstones> {
-        self.delta.map(|d| d.tombstones())
+    fn scope(&self) -> CrawlScope<'a> {
+        match self.delta {
+            Some(delta) => delta.scope(),
+            None => self.index.scope(),
+        }
     }
 
     /// Executes a batch of range queries.
@@ -230,7 +233,7 @@ impl<'a, P: PageRead + Sync> QueryEngine<'a, P> {
             for (query, stats) in queries.iter().zip(stats.iter_mut()) {
                 let seed = match self.delta {
                     Some(delta) => delta.seed(&cache, query, stats, hint)?,
-                    None => self.index.seed(&cache, query, stats, hint, None)?,
+                    None => self.index.seed(&cache, query, stats, hint, &self.scope())?,
                 };
                 states.push(seed.map(CrawlState::start));
             }
@@ -245,6 +248,7 @@ impl<'a, P: PageRead + Sync> QueryEngine<'a, P> {
                 .filter(|&i| states[i].is_some())
                 .collect();
             let mut wave: Vec<usize> = Vec::new();
+            let crawl_scope = self.scope();
             loop {
                 while wave.len() < wave_size {
                     let Some(next) = backlog.pop_front() else {
@@ -266,7 +270,7 @@ impl<'a, P: PageRead + Sync> QueryEngine<'a, P> {
                         &mut stats[i],
                         &mut results[i],
                         hint,
-                        self.tombstones(),
+                        &crawl_scope,
                     )?;
                     if done {
                         wave.swap_remove(w); // slot freed for the backlog
@@ -354,12 +358,10 @@ impl<'p, P: PageRead> BatchCache<'p, P> {
         self.pages.borrow().contains_key(&id)
     }
 
-    /// Decodes record `addr` if its page is already resident — the cheap
+    /// The page holding record `addr`, if already resident — the cheap
     /// lookahead the hinter relies on (never triggers I/O).
-    fn cached_record(&self, addr: MetaRecordId) -> Option<MetaRecord> {
-        let pages = self.pages.borrow();
-        let page = pages.get(&addr.page)?;
-        decode_meta_record(page, addr.slot).ok()
+    fn cached_page(&self, addr: MetaRecordId) -> Option<Page> {
+        self.pages.borrow().get(&addr.page).cloned()
     }
 
     fn fetches(&self) -> u64 {
@@ -474,14 +476,20 @@ impl<P: PageRead> CrawlHinter for EngineHinter<'_, P> {
         self.hint(page, kind);
     }
 
-    fn enqueued_record(&self, addr: MetaRecordId, wants_object: &dyn Fn(&MetaRecord) -> bool) {
+    fn enqueued_record(
+        &self,
+        addr: MetaRecordId,
+        wants_object: &dyn Fn(&MetaRecordRef<'_>) -> bool,
+    ) {
         // If the record's metadata page is already resident we can look
         // one step further ahead and hint the object page the crawl will
         // scan; otherwise hint the metadata page itself.
-        match self.cache.cached_record(addr) {
-            Some(record) => {
-                if wants_object(&record) {
-                    self.hint(record.object_page, PageKind::ObjectPage);
+        match self.cache.cached_page(addr) {
+            Some(page) => {
+                if let Ok(record) = MetaRecordRef::read(&page, addr.slot) {
+                    if wants_object(&record) {
+                        self.hint(record.object_page, PageKind::ObjectPage);
+                    }
                 }
             }
             None => self.hint(addr.page, PageKind::SeedLeaf),

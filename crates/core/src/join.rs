@@ -20,11 +20,10 @@
 
 use crate::delta::DeltaIndex;
 use crate::index::FlatIndex;
-use crate::meta::{decode_meta_leaf, decode_meta_record, MetaRecordId};
-use crate::query::{is_live, CrawlState, QueryStats, Tombstones};
+use crate::meta::{for_each_neighbor, meta_leaf_len, MetaRecordId, MetaRecordRef, RecordSet};
+use crate::query::{element_id, CrawlScope, CrawlState, QueryStats};
 use flat_geom::Aabb;
-use flat_rtree::node::{decode_inner, decode_leaf};
-use flat_rtree::LeafLayout;
+use flat_rtree::node::{decode_inner, LeafRef};
 use flat_storage::{PageId, PageKind, PageRead, StorageError};
 
 /// Resident summary of one live partition: everything the join sweep
@@ -51,10 +50,10 @@ pub enum JoinInput<'a> {
 }
 
 impl<'a> JoinInput<'a> {
-    fn tombstones(&self) -> Option<&'a Tombstones> {
-        match self {
-            JoinInput::Flat(_) => None,
-            JoinInput::Delta(d) => Some(d.tombstones()),
+    fn scope(&self) -> CrawlScope<'a> {
+        match *self {
+            JoinInput::Flat(i) => i.scope(),
+            JoinInput::Delta(d) => d.scope(),
         }
     }
 
@@ -65,7 +64,7 @@ impl<'a> JoinInput<'a> {
         stats: &mut QueryStats,
     ) -> Result<Option<MetaRecordId>, StorageError> {
         match self {
-            JoinInput::Flat(i) => i.seed(pool, query, stats, None, None),
+            JoinInput::Flat(i) => i.seed(pool, query, stats, None, &i.scope()),
             JoinInput::Delta(d) => d.seed(pool, query, stats, None),
         }
     }
@@ -106,7 +105,8 @@ fn flat_summaries(
     let mut out = Vec::new();
     for page_id in leaves {
         let page = pool.read_page(page_id, PageKind::SeedLeaf)?;
-        for record in decode_meta_leaf(&page)? {
+        for slot in 0..meta_leaf_len(&page)? as u16 {
+            let record = MetaRecordRef::read(&page, slot)?;
             if record.is_continuation || record.is_dead {
                 continue;
             }
@@ -201,8 +201,8 @@ impl JoinEngine {
         inner: JoinInput<'_>,
     ) -> Result<JoinResult, StorageError> {
         let eps2 = self.eps * self.eps;
-        let outer_tombs = outer.tombstones();
-        let inner_tombs = inner.tombstones();
+        let outer_scope = outer.scope();
+        let inner_scope = inner.scope();
         let mut stats = JoinStats::default();
         let mut pairs: Vec<(u64, u64)> = Vec::new();
         // Partner partitions of the previous sweep step: `(record,
@@ -219,7 +219,7 @@ impl JoinEngine {
             // crawl must cover), falling back to a seed-tree descent.
             let mut state = CrawlState {
                 queue: std::collections::VecDeque::new(),
-                seen: std::collections::HashSet::new(),
+                seen: RecordSet::default(),
             };
             for (record, mbr) in &frontier {
                 if mbr.intersects(&query) && state.seen.insert(*record) {
@@ -250,10 +250,8 @@ impl JoinEngine {
             let mut partners: Vec<(MetaRecordId, Aabb)> = Vec::new();
             while let Some(addr) = state.queue.pop_front() {
                 stats.crawl_records += 1;
-                let record = {
-                    let page = inner_pool.read_page(addr.page, PageKind::SeedLeaf)?;
-                    decode_meta_record(&page, addr.slot)?
-                };
+                let meta_page = inner_pool.read_page(addr.page, PageKind::SeedLeaf)?;
+                let record = MetaRecordRef::read(&meta_page, addr.slot)?;
                 if record.is_dead {
                     continue;
                 }
@@ -262,39 +260,24 @@ impl JoinEngine {
                 {
                     stats.object_pages_read += 1;
                     let page = inner_pool.read_page(record.object_page, PageKind::ObjectPage)?;
-                    let (layout, entries) = decode_leaf(&page)?;
-                    for (slot, entry) in entries.iter().enumerate() {
-                        if is_live(inner_tombs, record.object_page, slot)
+                    let leaf = LeafRef::new(&page)?;
+                    for (slot, entry) in leaf.entries().enumerate() {
+                        if inner_scope.is_live(record.object_page, slot)
                             && op.page_mbr.distance_sq(&entry.mbr) <= eps2
                         {
-                            let id = match layout {
-                                LeafLayout::MbrOnly => (record.object_page.0 << 16) | entry.id,
-                                LeafLayout::WithIds => entry.id,
-                            };
+                            let id = element_id(leaf.layout(), record.object_page, entry.id);
                             candidates.push((id, entry.mbr));
                         }
                     }
                 }
                 if record.partition_mbr.intersects(&query) {
                     partners.push((addr, record.partition_mbr));
-                    for neighbor in record.neighbors {
+                    for_each_neighbor(inner_pool, &record, inner_scope.chain_limit, |neighbor| {
                         if state.seen.insert(neighbor) {
                             state.queue.push_back(neighbor);
                         }
-                    }
-                    let mut next = record.continuation;
-                    while let Some(chunk_addr) = next {
-                        let chunk = {
-                            let page = inner_pool.read_page(chunk_addr.page, PageKind::SeedLeaf)?;
-                            decode_meta_record(&page, chunk_addr.slot)?
-                        };
-                        for neighbor in chunk.neighbors {
-                            if state.seen.insert(neighbor) {
-                                state.queue.push_back(neighbor);
-                            }
-                        }
-                        next = chunk.continuation;
-                    }
+                        Ok(())
+                    })?;
                 }
             }
             frontier = partners;
@@ -305,15 +288,12 @@ impl JoinEngine {
             // Verify against the outer partition's own elements.
             stats.object_pages_read += 1;
             let page = outer_pool.read_page(op.object_page, PageKind::ObjectPage)?;
-            let (layout, entries) = decode_leaf(&page)?;
-            for (slot, entry) in entries.iter().enumerate() {
-                if !is_live(outer_tombs, op.object_page, slot) {
+            let leaf = LeafRef::new(&page)?;
+            for (slot, entry) in leaf.entries().enumerate() {
+                if !outer_scope.is_live(op.object_page, slot) {
                     continue;
                 }
-                let outer_id = match layout {
-                    LeafLayout::MbrOnly => (op.object_page.0 << 16) | entry.id,
-                    LeafLayout::WithIds => entry.id,
-                };
+                let outer_id = element_id(leaf.layout(), op.object_page, entry.id);
                 for (inner_id, inner_mbr) in &candidates {
                     stats.element_tests += 1;
                     if entry.mbr.distance_sq(inner_mbr) <= eps2 {
@@ -334,6 +314,7 @@ mod tests {
     use crate::index::tests::random_entries;
     use crate::index::FlatOptions;
     use flat_rtree::Entry;
+    use flat_rtree::LeafLayout;
     use flat_storage::BufferPool;
 
     fn options(layout: LeafLayout) -> FlatOptions {

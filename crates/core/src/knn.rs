@@ -24,14 +24,14 @@
 //! tests checks the result against a full scan.
 
 use crate::index::FlatIndex;
-use crate::meta::{decode_meta_record, meta_leaf_len, MetaRecordId};
-use crate::query::{is_live, CrawlHinter, Tombstones};
+use crate::meta::{for_each_neighbor, meta_leaf_len, MetaRecordId, MetaRecordRef, RecordSet};
+use crate::query::{element_id, CrawlHinter, CrawlScope};
 use flat_geom::Point3;
-use flat_rtree::node::{decode_inner, decode_leaf};
-use flat_rtree::{Hit, LeafLayout};
+use flat_rtree::node::{decode_inner, LeafRef};
+use flat_rtree::Hit;
 use flat_storage::{PageId, PageKind, PageRead, StorageError};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// One kNN result: the element plus its squared distance to the query
 /// point (distance from point to the element's MBR; 0 when inside).
@@ -142,7 +142,7 @@ impl FlatIndex {
         k: usize,
         stats: &mut KnnStats,
     ) -> Result<Vec<Neighbor>, StorageError> {
-        self.knn(pool, point, k, stats, None, None, None)
+        self.knn(pool, point, k, stats, None, None, &self.scope())
     }
 
     /// Entry point for the batched engine: identical algorithm, with
@@ -155,13 +155,13 @@ impl FlatIndex {
         hinter: Option<&dyn CrawlHinter>,
     ) -> Result<Vec<Neighbor>, StorageError> {
         let mut stats = KnnStats::default();
-        self.knn(pool, point, k, &mut stats, hinter, None, None)
+        self.knn(pool, point, k, &mut stats, hinter, None, &self.scope())
     }
 
     /// Full-control entry point shared with the delta layer:
     /// `seed_override` replaces the best-first seed descent (the delta
-    /// seed also considers partitions outside the seed tree) and
-    /// `tombstones` hides deleted elements from the candidate heap.
+    /// seed also considers partitions outside the seed tree) and `scope`
+    /// hides deleted elements from the candidate heap.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn knn(
         &self,
@@ -171,7 +171,7 @@ impl FlatIndex {
         stats: &mut KnnStats,
         hinter: Option<&dyn CrawlHinter>,
         seed_override: Option<MetaRecordId>,
-        tombstones: Option<&Tombstones>,
+        scope: &CrawlScope<'_>,
     ) -> Result<Vec<Neighbor>, StorageError> {
         if k == 0 {
             return Ok(Vec::new());
@@ -195,12 +195,12 @@ impl FlatIndex {
             }
         };
 
-        let mut seen: HashSet<MetaRecordId> = HashSet::new();
+        let mut seen = RecordSet::default();
         let mut frontier: BinaryHeap<Reverse<(MinKey, MetaRecordId)>> = BinaryHeap::new();
         seen.insert(seed);
         {
             let page = pool.read_page(seed.page, PageKind::SeedLeaf)?;
-            let record = decode_meta_record(&page, seed.slot)?;
+            let record = MetaRecordRef::read(&page, seed.slot)?;
             let key = record.partition_mbr.distance_sq_to_point(&point);
             frontier.push(Reverse((MinKey(key), seed)));
         }
@@ -214,31 +214,24 @@ impl FlatIndex {
             }
             stats.max_frontier_len = stats.max_frontier_len.max(frontier.len() + 1);
             stats.records_expanded += 1;
-            let record = {
-                let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-                decode_meta_record(&page, addr.slot)?
-            };
+            let meta_page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
+            let record = MetaRecordRef::read(&meta_page, addr.slot)?;
 
             // Scan the object page only while its page MBR can still hold
             // a top-k element (the kNN analogue of §VI's page-MBR test).
             if record.page_mbr.distance_sq_to_point(&point) <= bound(&best) {
                 stats.object_pages_read += 1;
                 let page = pool.read_page(record.object_page, PageKind::ObjectPage)?;
-                let (layout, entries) = decode_leaf(&page)?;
-                for (slot, entry) in entries.iter().enumerate() {
-                    if !is_live(tombstones, record.object_page, slot) {
+                let leaf = LeafRef::new(&page)?;
+                for (slot, entry) in leaf.entries().enumerate() {
+                    if !scope.is_live(record.object_page, slot) {
                         continue;
                     }
-                    let dist_sq = entry.mbr.distance_sq_to_point(&point);
-                    let id = match layout {
-                        LeafLayout::MbrOnly => (record.object_page.0 << 16) | entry.id,
-                        LeafLayout::WithIds => entry.id,
-                    };
                     let candidate = Candidate {
-                        dist_sq,
+                        dist_sq: entry.mbr.distance_sq_to_point(&point),
                         hit: Hit {
                             mbr: entry.mbr,
-                            id,
+                            id: element_id(leaf.layout(), record.object_page, entry.id),
                             page: record.object_page,
                             slot: slot as u16,
                         },
@@ -261,38 +254,29 @@ impl FlatIndex {
             // is safe: the bound only shrinks, and any partition within the
             // final bound stays reachable through partitions at least as
             // close (the tiling's connectivity argument, module docs).
-            let mut chunk = record;
-            loop {
-                for neighbor in &chunk.neighbors {
-                    if !seen.insert(*neighbor) {
-                        continue;
-                    }
-                    let key = {
-                        let page = pool.read_page(neighbor.page, PageKind::SeedLeaf)?;
-                        decode_meta_record(&page, neighbor.slot)?
-                            .partition_mbr
-                            .distance_sq_to_point(&point)
-                    };
-                    if key <= bound(&best) {
-                        frontier.push(Reverse((MinKey(key), *neighbor)));
-                        if let Some(h) = hinter {
-                            let b = bound(&best);
-                            h.enqueued_record(*neighbor, &|r| {
-                                r.page_mbr.distance_sq_to_point(&point) <= b
-                            });
-                        }
-                    } else {
-                        stats.records_pruned += 1;
-                    }
+            let limit = bound(&best);
+            for_each_neighbor(pool, &record, scope.chain_limit, |neighbor| {
+                if !seen.insert(neighbor) {
+                    return Ok(());
                 }
-                let Some(next) = chunk.continuation else {
-                    break;
+                let key = {
+                    let page = pool.read_page(neighbor.page, PageKind::SeedLeaf)?;
+                    MetaRecordRef::read(&page, neighbor.slot)?
+                        .partition_mbr
+                        .distance_sq_to_point(&point)
                 };
-                chunk = {
-                    let page = pool.read_page(next.page, PageKind::SeedLeaf)?;
-                    decode_meta_record(&page, next.slot)?
-                };
-            }
+                if key <= limit {
+                    frontier.push(Reverse((MinKey(key), neighbor)));
+                    if let Some(h) = hinter {
+                        h.enqueued_record(neighbor, &|r| {
+                            r.page_mbr.distance_sq_to_point(&point) <= limit
+                        });
+                    }
+                } else {
+                    stats.records_pruned += 1;
+                }
+                Ok(())
+            })?;
         }
 
         Ok(best
@@ -334,7 +318,7 @@ impl FlatIndex {
                     let leaf = pool.read_page(page, PageKind::SeedLeaf)?;
                     let count = meta_leaf_len(&leaf)?;
                     for slot in 0..count as u16 {
-                        let record = decode_meta_record(&leaf, slot)?;
+                        let record = MetaRecordRef::read(&leaf, slot)?;
                         if record.is_continuation || record.is_dead {
                             continue; // not a valid crawl entry point
                         }
@@ -370,6 +354,7 @@ mod tests {
     use crate::index::{FlatIndex, FlatOptions};
     use flat_geom::Aabb;
     use flat_rtree::Entry;
+    use flat_rtree::LeafLayout;
     use flat_storage::{BufferPool, MemStore};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -44,7 +44,9 @@
 //! any other metadata read).
 
 use flat_geom::{Aabb, Point3};
-use flat_storage::{Page, PageId, StorageError, PAGE_SIZE};
+use flat_storage::{Page, PageId, PageKind, PageMut, PageRead, StorageError, PAGE_SIZE};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Tag distinguishing metadata leaves from R-tree nodes.
 const TAG_META_LEAF: u16 = 3;
@@ -66,6 +68,10 @@ const FLAG_CONTINUATION: u16 = 0x8000;
 const FLAG_DEAD: u16 = 0x4000;
 /// Count-word bits holding the neighbor count.
 const COUNT_MASK: u16 = 0x3FFF;
+/// The most records one metadata page can hold: each costs at least its
+/// fixed part plus a slot-directory entry. A larger page count word is
+/// corruption.
+pub const MAX_RECORDS_PER_PAGE: usize = (PAGE_SIZE - HEADER_SIZE) / (RECORD_FIXED + DIR_ENTRY);
 
 /// Address of a metadata record: the seed-tree leaf page holding it plus
 /// its slot. Neighbor pointers are exactly these addresses — following one
@@ -192,7 +198,7 @@ pub fn assign_slots(plan: &[PlannedRecord]) -> Vec<(usize, u16)> {
     assignment
 }
 
-fn put_mbr(page: &mut Page, offset: usize, mbr: &Aabb) {
+fn put_mbr(page: &mut PageMut<'_>, offset: usize, mbr: &Aabb) {
     page.put_f64(offset, mbr.min.x);
     page.put_f64(offset + 8, mbr.min.y);
     page.put_f64(offset + 16, mbr.min.z);
@@ -233,14 +239,16 @@ pub fn encode_meta_leaf(records: &[MetaRecord], page: &mut Page) {
         "metadata records overflow the page: {total} bytes"
     );
 
+    // Clearing first replaces a shared buffer instead of copying it.
     page.clear();
+    let mut page = page.edit();
     page.put_u16(0, TAG_META_LEAF);
     page.put_u16(2, records.len() as u16);
     let mut offset = HEADER_SIZE + dir_size;
     for (slot, record) in records.iter().enumerate() {
         page.put_u16(HEADER_SIZE + slot * DIR_ENTRY, offset as u16);
-        put_mbr(page, offset, &record.page_mbr);
-        put_mbr(page, offset + 48, &record.partition_mbr);
+        put_mbr(&mut page, offset, &record.page_mbr);
+        put_mbr(&mut page, offset + 48, &record.partition_mbr);
         page.put_u64(offset + 96, record.object_page.0);
         assert!(
             record.neighbors.len() <= COUNT_MASK as usize,
@@ -276,6 +284,10 @@ pub fn encode_meta_leaf(records: &[MetaRecord], page: &mut Page) {
 }
 
 /// Number of records on a metadata page.
+///
+/// Rejects a foreign tag and a count word larger than
+/// [`MAX_RECORDS_PER_PAGE`] (which would index the slot directory past
+/// the page) with [`StorageError::Corrupt`].
 pub fn meta_leaf_len(page: &Page) -> Result<usize, StorageError> {
     if page.get_u16(0) != TAG_META_LEAF {
         return Err(StorageError::Corrupt(format!(
@@ -283,60 +295,145 @@ pub fn meta_leaf_len(page: &Page) -> Result<usize, StorageError> {
             page.get_u16(0)
         )));
     }
-    Ok(page.get_u16(2) as usize)
+    let count = page.get_u16(2) as usize;
+    if count > MAX_RECORDS_PER_PAGE {
+        return Err(StorageError::Corrupt(format!(
+            "metadata leaf count {count} exceeds the {MAX_RECORDS_PER_PAGE} records a page holds"
+        )));
+    }
+    Ok(count)
 }
 
-/// Decodes one record by slot.
+/// One metadata record read in place from its seed-leaf page: the fixed
+/// fields, decoded and bounds-checked up front, plus a lazy iterator over
+/// the neighbor pointers, which stay in the page bytes.
+///
+/// The crawl, kNN, join and aggregate paths read records through this
+/// view; [`decode_meta_record`] is its owned copy.
+#[derive(Debug, Clone, Copy)]
+pub struct MetaRecordRef<'a> {
+    page: &'a Page,
+    /// Offset of the first neighbor pointer.
+    neighbors_at: usize,
+    neighbor_count: usize,
+    /// Tight MBR of the elements on the object page.
+    pub page_mbr: Aabb,
+    /// The partition MBR (tile ⊇ page MBR).
+    pub partition_mbr: Aabb,
+    /// The object page the record describes.
+    pub object_page: PageId,
+    /// Next chunk of the neighbor list, if it didn't fit in one record.
+    pub continuation: Option<MetaRecordId>,
+    /// `true` for continuation chunks (see [`MetaRecord::is_continuation`]).
+    pub is_continuation: bool,
+    /// `true` once the record's partition has been retired (see
+    /// [`MetaRecord::is_dead`]).
+    pub is_dead: bool,
+}
+
+impl<'a> MetaRecordRef<'a> {
+    /// Reads record `slot` of a metadata page, validating the page header,
+    /// the slot and the record's extent.
+    pub fn read(page: &'a Page, slot: u16) -> Result<MetaRecordRef<'a>, StorageError> {
+        let count = meta_leaf_len(page)?;
+        if slot as usize >= count {
+            return Err(StorageError::Corrupt(format!(
+                "metadata slot {slot} out of range (page holds {count})"
+            )));
+        }
+        let offset = page.get_u16(HEADER_SIZE + slot as usize * DIR_ENTRY) as usize;
+        if offset + RECORD_FIXED > PAGE_SIZE {
+            return Err(StorageError::Corrupt(format!(
+                "record offset {offset} out of page"
+            )));
+        }
+        let count_word = page.get_u16(offset + 104);
+        let neighbor_count = (count_word & COUNT_MASK) as usize;
+        let neighbors_at = offset + RECORD_FIXED;
+        if neighbors_at + neighbor_count * NEIGHBOR_SIZE > PAGE_SIZE {
+            return Err(StorageError::Corrupt(format!(
+                "record with {neighbor_count} neighbors out of page"
+            )));
+        }
+        let continuation = match page.get_u64(offset + 106) {
+            NO_CONTINUATION => None,
+            p => Some(MetaRecordId {
+                page: PageId(p),
+                slot: page.get_u16(offset + 114),
+            }),
+        };
+        Ok(MetaRecordRef {
+            page,
+            neighbors_at,
+            neighbor_count,
+            page_mbr: get_mbr(page, offset),
+            partition_mbr: get_mbr(page, offset + 48),
+            object_page: PageId(page.get_u64(offset + 96)),
+            continuation,
+            is_continuation: count_word & FLAG_CONTINUATION != 0,
+            is_dead: count_word & FLAG_DEAD != 0,
+        })
+    }
+
+    /// The neighbor pointers of this chunk, decoded as the iterator
+    /// advances.
+    pub fn neighbors(&self) -> Neighbors<'a> {
+        Neighbors {
+            page: self.page,
+            at: self.neighbors_at,
+            left: self.neighbor_count,
+        }
+    }
+
+    /// An owned copy of the record.
+    pub fn to_owned(self) -> MetaRecord {
+        MetaRecord {
+            page_mbr: self.page_mbr,
+            partition_mbr: self.partition_mbr,
+            object_page: self.object_page,
+            neighbors: self.neighbors().collect(),
+            continuation: self.continuation,
+            is_continuation: self.is_continuation,
+            is_dead: self.is_dead,
+        }
+    }
+}
+
+/// Iterator over the neighbor pointers of a [`MetaRecordRef`].
+#[derive(Debug, Clone)]
+pub struct Neighbors<'a> {
+    page: &'a Page,
+    at: usize,
+    left: usize,
+}
+
+impl Iterator for Neighbors<'_> {
+    type Item = MetaRecordId;
+
+    #[inline]
+    fn next(&mut self) -> Option<MetaRecordId> {
+        if self.left == 0 {
+            return None;
+        }
+        let id = MetaRecordId {
+            page: PageId(self.page.get_u64(self.at)),
+            slot: self.page.get_u16(self.at + 8),
+        };
+        self.at += NEIGHBOR_SIZE;
+        self.left -= 1;
+        Some(id)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Neighbors<'_> {}
+
+/// Decodes one record by slot (an owned copy of [`MetaRecordRef`]).
 pub fn decode_meta_record(page: &Page, slot: u16) -> Result<MetaRecord, StorageError> {
-    let count = meta_leaf_len(page)?;
-    if slot as usize >= count {
-        return Err(StorageError::Corrupt(format!(
-            "metadata slot {slot} out of range (page holds {count})"
-        )));
-    }
-    let offset = page.get_u16(HEADER_SIZE + slot as usize * DIR_ENTRY) as usize;
-    if offset + RECORD_FIXED > PAGE_SIZE {
-        return Err(StorageError::Corrupt(format!(
-            "record offset {offset} out of page"
-        )));
-    }
-    let page_mbr = get_mbr(page, offset);
-    let partition_mbr = get_mbr(page, offset + 48);
-    let object_page = PageId(page.get_u64(offset + 96));
-    let count_word = page.get_u16(offset + 104);
-    let is_continuation = count_word & FLAG_CONTINUATION != 0;
-    let is_dead = count_word & FLAG_DEAD != 0;
-    let n = (count_word & COUNT_MASK) as usize;
-    let continuation = match page.get_u64(offset + 106) {
-        NO_CONTINUATION => None,
-        p => Some(MetaRecordId {
-            page: PageId(p),
-            slot: page.get_u16(offset + 114),
-        }),
-    };
-    if offset + RECORD_FIXED + n * NEIGHBOR_SIZE > PAGE_SIZE {
-        return Err(StorageError::Corrupt(format!(
-            "record with {n} neighbors out of page"
-        )));
-    }
-    let mut neighbors = Vec::with_capacity(n);
-    let mut n_off = offset + RECORD_FIXED;
-    for _ in 0..n {
-        neighbors.push(MetaRecordId {
-            page: PageId(page.get_u64(n_off)),
-            slot: page.get_u16(n_off + 8),
-        });
-        n_off += NEIGHBOR_SIZE;
-    }
-    Ok(MetaRecord {
-        page_mbr,
-        partition_mbr,
-        object_page,
-        neighbors,
-        continuation,
-        is_continuation,
-        is_dead,
-    })
+    Ok(MetaRecordRef::read(page, slot)?.to_owned())
 }
 
 /// Decodes all records of a metadata page (validation / inspection).
@@ -346,6 +443,98 @@ pub fn decode_meta_leaf(page: &Page) -> Result<Vec<MetaRecord>, StorageError> {
         .map(|slot| decode_meta_record(page, slot))
         .collect()
 }
+
+/// The longest continuation chain an index with `num_meta_pages`
+/// metadata pages can hold: every chunk is a distinct record on one of
+/// its pages. A longer walk has met a cycle.
+pub(crate) fn chain_limit(num_meta_pages: u64) -> usize {
+    (num_meta_pages as usize).saturating_mul(MAX_RECORDS_PER_PAGE)
+}
+
+/// The one neighbor walk: calls `visit` on every neighbor of `record`,
+/// following its continuation chain (see the module docs) in order.
+///
+/// Each continuation chunk costs one [`PageKind::SeedLeaf`] read, charged
+/// like any other metadata access. At most `chain_limit` chunks are
+/// followed (see [`chain_limit`]); a longer chain — a corrupt
+/// continuation pointing back into its own chain — is
+/// [`StorageError::Corrupt`] instead of an endless walk.
+pub(crate) fn for_each_neighbor(
+    pool: &impl PageRead,
+    record: &MetaRecordRef<'_>,
+    chain_limit: usize,
+    mut visit: impl FnMut(MetaRecordId) -> Result<(), StorageError>,
+) -> Result<(), StorageError> {
+    for neighbor in record.neighbors() {
+        visit(neighbor)?;
+    }
+    let mut next = record.continuation;
+    let mut chunks = 0usize;
+    while let Some(addr) = next {
+        chunks += 1;
+        if chunks > chain_limit {
+            return Err(StorageError::Corrupt(format!(
+                "continuation chain exceeds {chain_limit} chunks (cycle through {addr:?})"
+            )));
+        }
+        let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
+        let chunk = MetaRecordRef::read(&page, addr.slot)?;
+        for neighbor in chunk.neighbors() {
+            visit(neighbor)?;
+        }
+        next = chunk.continuation;
+    }
+    Ok(())
+}
+
+/// A small deterministic hasher for record-address sets (FxHash-style:
+/// one rotate, xor and multiply per word instead of SipHash's rounds), for
+/// the crawl's per-neighbor visited-set probes. The keys are record addresses read
+/// from the index's own metadata pages. A crafted index could make them
+/// collide and slow its own crawls, which it can already do by linking
+/// every record to every other; it cannot make a crawl wrong or endless.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct RecordHasher(u64);
+
+const HASH_MULTIPLIER: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+impl RecordHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(HASH_MULTIPLIER);
+    }
+}
+
+impl Hasher for RecordHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits weakest; the table indexes by
+        // them, so rotate the well-mixed high bits down.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.add(v as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+}
+
+/// A set of record addresses hashed with [`RecordHasher`]: the crawl's
+/// visited ("seen") set.
+pub(crate) type RecordSet = HashSet<MetaRecordId, BuildHasherDefault<RecordHasher>>;
 
 #[cfg(test)]
 mod tests {
@@ -568,6 +757,72 @@ mod tests {
         let page = Page::new();
         assert!(meta_leaf_len(&page).is_err());
         assert!(decode_meta_record(&page, 0).is_err());
+    }
+
+    #[test]
+    fn corrupt_count_word_is_an_error_not_a_panic() {
+        let mut page = Page::new();
+        encode_meta_leaf(&[sample_record(1, 2), sample_record(2, 3)], &mut page);
+        // A count no page can hold would index the slot directory past
+        // the page end.
+        page.put_u16(2, 0x3000);
+        assert!(matches!(
+            meta_leaf_len(&page),
+            Err(StorageError::Corrupt(_))
+        ));
+        assert!(matches!(
+            decode_meta_record(&page, 2500),
+            Err(StorageError::Corrupt(_))
+        ));
+        assert!(matches!(
+            MetaRecordRef::read(&page, 0),
+            Err(StorageError::Corrupt(_))
+        ));
+        assert!(matches!(
+            decode_meta_leaf(&page),
+            Err(StorageError::Corrupt(_))
+        ));
+        // The largest legal count still decodes.
+        let full: Vec<MetaRecord> = (0..MAX_RECORDS_PER_PAGE as u64)
+            .map(|i| sample_record(i, 0))
+            .collect();
+        encode_meta_leaf(&full, &mut page);
+        assert_eq!(decode_meta_leaf(&page).unwrap(), full);
+    }
+
+    #[test]
+    fn record_view_reads_in_place() {
+        let mut record = sample_record(9, 12);
+        record.continuation = Some(MetaRecordId {
+            page: PageId(5),
+            slot: 1,
+        });
+        let mut page = Page::new();
+        encode_meta_leaf(&[sample_record(8, 3), record.clone()], &mut page);
+        let view = MetaRecordRef::read(&page, 1).unwrap();
+        assert_eq!(view.page_mbr, record.page_mbr);
+        assert_eq!(view.partition_mbr, record.partition_mbr);
+        assert_eq!(view.object_page, record.object_page);
+        assert_eq!(view.continuation, record.continuation);
+        assert_eq!(view.neighbors().len(), 12);
+        assert_eq!(view.neighbors().collect::<Vec<_>>(), record.neighbors);
+        assert_eq!(view.to_owned(), record);
+    }
+
+    #[test]
+    fn record_hasher_is_deterministic_and_spreads_slots() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<RecordHasher>::default();
+        let id = |page, slot| MetaRecordId {
+            page: PageId(page),
+            slot,
+        };
+        assert_eq!(build.hash_one(id(3, 4)), build.hash_one(id(3, 4)));
+        assert_ne!(build.hash_one(id(3, 4)), build.hash_one(id(4, 3)));
+        // Neighboring slots of one page land in different low bits (the
+        // bits a hash table indexes by).
+        let low: HashSet<u64> = (0..32).map(|s| build.hash_one(id(7, s)) & 0xFF).collect();
+        assert!(low.len() > 24, "only {} distinct low bytes", low.len());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! (§V-B.1 and §VI, Algorithm 2).
 
 use crate::index::FlatIndex;
-use crate::meta::{decode_meta_record, meta_leaf_len, MetaRecord, MetaRecordId};
+use crate::meta::{for_each_neighbor, meta_leaf_len, MetaRecordId, MetaRecordRef, RecordSet};
 use flat_geom::Aabb;
-use flat_rtree::node::{decode_inner, decode_leaf};
+use flat_rtree::node::{decode_inner, LeafRef};
 use flat_rtree::{Hit, LeafLayout};
 use flat_storage::{PageId, PageKind, PageRead, StorageError};
 use std::collections::{HashSet, VecDeque};
@@ -12,13 +12,36 @@ use std::collections::{HashSet, VecDeque};
 /// Deleted-element set of a [`crate::DeltaIndex`], keyed by physical
 /// location `(object page, slot)` — the one identity that stays valid
 /// under both leaf layouts and across delete-then-reinsert of the same
-/// application id. `None` everywhere on the static query path.
+/// application id. A pristine index's crawl scope has none.
 pub(crate) type Tombstones = HashSet<(PageId, u16)>;
 
-/// `true` when the element at `slot` of `page` is still live.
+/// What a crawl over one index needs besides its pages: the deleted
+/// elements to hide (`None` on a pristine [`FlatIndex`]) and the longest
+/// continuation chain the index can hold (see
+/// [`crate::meta::chain_limit`]), which bounds the neighbor walk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CrawlScope<'a> {
+    pub(crate) tombstones: Option<&'a Tombstones>,
+    pub(crate) chain_limit: usize,
+}
+
+impl CrawlScope<'_> {
+    /// `true` when the element at `slot` of `page` is still live.
+    #[inline]
+    pub(crate) fn is_live(&self, page: PageId, slot: usize) -> bool {
+        self.tombstones
+            .is_none_or(|t| !t.contains(&(page, slot as u16)))
+    }
+}
+
+/// The application id of the element at `slot` of an object page: stored
+/// ids under [`LeafLayout::WithIds`], `(page << 16) | slot` otherwise.
 #[inline]
-pub(crate) fn is_live(tombstones: Option<&Tombstones>, page: PageId, slot: usize) -> bool {
-    tombstones.is_none_or(|t| !t.contains(&(page, slot as u16)))
+pub(crate) fn element_id(layout: LeafLayout, page: PageId, entry_id: u64) -> u64 {
+    match layout {
+        LeafLayout::MbrOnly => (page.0 << 16) | entry_id,
+        LeafLayout::WithIds => entry_id,
+    }
 }
 
 /// Crawl-progress hooks the batched [`crate::QueryEngine`] uses to turn
@@ -31,9 +54,13 @@ pub(crate) trait CrawlHinter {
 
     /// Record `addr` was just enqueued; `wants_object` says whether the
     /// record's object page will be scanned if the record looks like
-    /// `MetaRecord` when decoded (the hinter may not know yet — it only
-    /// acts when it can decode `addr` from an already-cached page).
-    fn enqueued_record(&self, addr: MetaRecordId, wants_object: &dyn Fn(&MetaRecord) -> bool);
+    /// this when read (the hinter may not know yet — it only acts when it
+    /// can read `addr` from an already-cached page).
+    fn enqueued_record(
+        &self,
+        addr: MetaRecordId,
+        wants_object: &dyn Fn(&MetaRecordRef<'_>) -> bool,
+    );
 }
 
 /// Per-query counters (the CPU/bookkeeping side of §VII-E.2; the I/O side
@@ -91,12 +118,13 @@ impl FlatIndex {
         stats: &mut QueryStats,
     ) -> Result<Vec<Hit>, StorageError> {
         let mut hits = Vec::new();
-        let Some(seed) = self.seed(pool, query, stats, None, None)? else {
+        let scope = self.scope();
+        let Some(seed) = self.seed(pool, query, stats, None, &scope)? else {
             return Ok(hits); // "If no object page can be found, then the
                              // query has no result" (§V-B.1).
         };
         let mut state = CrawlState::start(seed);
-        while !self.crawl_step(pool, query, &mut state, stats, &mut hits, None, None)? {}
+        while !self.crawl_step(pool, query, &mut state, stats, &mut hits, None, &scope)? {}
         stats.result_count = hits.len() as u64;
         Ok(hits)
     }
@@ -105,7 +133,7 @@ impl FlatIndex {
     /// (early-exit DFS), reading candidate object pages until one actually
     /// contains a (live) element intersecting the query.
     ///
-    /// `tombstones` is the delta layer's deleted-element set: probes skip
+    /// `scope` carries the delta layer's deleted-element set: probes skip
     /// tombstoned elements, and records whose partitions were retired
     /// (dead flag) are never entry points — their object pages are freed.
     pub(crate) fn seed(
@@ -114,7 +142,7 @@ impl FlatIndex {
         query: &Aabb,
         stats: &mut QueryStats,
         hinter: Option<&dyn CrawlHinter>,
-        tombstones: Option<&Tombstones>,
+        scope: &CrawlScope<'_>,
     ) -> Result<Option<MetaRecordId>, StorageError> {
         let Some(root) = self.seed_root else {
             return Ok(None);
@@ -126,7 +154,7 @@ impl FlatIndex {
                 let leaf = pool.read_page(page_id, PageKind::SeedLeaf)?;
                 let count = meta_leaf_len(&leaf)?;
                 for slot in 0..count as u16 {
-                    let record = decode_meta_record(&leaf, slot)?;
+                    let record = MetaRecordRef::read(&leaf, slot)?;
                     // Continuation chunks are not crawl entry points: a
                     // crawl seeded mid-chain would only reach the tail of
                     // the over-full neighbor list. Dead records have no
@@ -142,10 +170,10 @@ impl FlatIndex {
                     stats.object_pages_read += 1;
                     let found = {
                         let page = pool.read_page(record.object_page, PageKind::ObjectPage)?;
-                        let (_, entries) = decode_leaf(&page)?;
-                        stats.mbr_tests += entries.len() as u64;
-                        entries.iter().enumerate().any(|(s, e)| {
-                            is_live(tombstones, record.object_page, s) && query.intersects(&e.mbr)
+                        let objects = LeafRef::new(&page)?;
+                        stats.mbr_tests += objects.len() as u64;
+                        objects.entries().enumerate().any(|(s, e)| {
+                            scope.is_live(record.object_page, s) && query.intersects(&e.mbr)
                         })
                     };
                     if found {
@@ -204,17 +232,15 @@ impl FlatIndex {
         stats: &mut QueryStats,
         hits: &mut Vec<Hit>,
         hinter: Option<&dyn CrawlHinter>,
-        tombstones: Option<&Tombstones>,
+        scope: &CrawlScope<'_>,
     ) -> Result<bool, StorageError> {
         let Some(addr) = state.queue.pop_front() else {
             return Ok(true);
         };
         stats.max_queue_len = stats.max_queue_len.max(state.queue.len() + 1);
         stats.records_processed += 1;
-        let record = {
-            let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-            decode_meta_record(&page, addr.slot)?
-        };
+        let meta_page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
+        let record = MetaRecordRef::read(&meta_page, addr.slot)?;
         // Retirement prunes every link to a dead record, so the crawl can
         // only land on one through a stale seed — never expand it (its
         // object page is freed).
@@ -229,17 +255,13 @@ impl FlatIndex {
         if record.page_mbr.intersects(query) {
             stats.object_pages_read += 1;
             let page = pool.read_page(record.object_page, PageKind::ObjectPage)?;
-            let (layout, entries) = decode_leaf(&page)?;
-            for (slot, entry) in entries.iter().enumerate() {
+            let leaf = LeafRef::new(&page)?;
+            for (slot, entry) in leaf.entries().enumerate() {
                 stats.mbr_tests += 1;
-                if is_live(tombstones, record.object_page, slot) && query.intersects(&entry.mbr) {
-                    let id = match layout {
-                        LeafLayout::MbrOnly => (record.object_page.0 << 16) | entry.id,
-                        LeafLayout::WithIds => entry.id,
-                    };
+                if scope.is_live(record.object_page, slot) && query.intersects(&entry.mbr) {
                     hits.push(Hit {
                         mbr: entry.mbr,
-                        id,
+                        id: element_id(leaf.layout(), record.object_page, entry.id),
                         page: record.object_page,
                         slot: slot as u16,
                     });
@@ -252,34 +274,16 @@ impl FlatIndex {
         // (§VI).
         stats.mbr_tests += 1;
         if record.partition_mbr.intersects(query) {
-            let wants_object = |r: &MetaRecord| r.page_mbr.intersects(query);
-            for neighbor in record.neighbors {
+            let wants_object = |r: &MetaRecordRef<'_>| r.page_mbr.intersects(query);
+            for_each_neighbor(pool, &record, scope.chain_limit, |neighbor| {
                 if state.seen.insert(neighbor) {
                     state.queue.push_back(neighbor);
                     if let Some(h) = hinter {
                         h.enqueued_record(neighbor, &wants_object);
                     }
                 }
-            }
-            // Over-full neighbor lists spill into continuation records
-            // (see `meta`); follow the chain, charging the reads like
-            // any other metadata access.
-            let mut next = record.continuation;
-            while let Some(addr) = next {
-                let chunk = {
-                    let page = pool.read_page(addr.page, PageKind::SeedLeaf)?;
-                    decode_meta_record(&page, addr.slot)?
-                };
-                for neighbor in chunk.neighbors {
-                    if state.seen.insert(neighbor) {
-                        state.queue.push_back(neighbor);
-                        if let Some(h) = hinter {
-                            h.enqueued_record(neighbor, &wants_object);
-                        }
-                    }
-                }
-                next = chunk.continuation;
-            }
+                Ok(())
+            })?;
         }
         // Monotone running value; once the queue drains this equals the
         // size of the visited set, matching the serial accounting.
@@ -296,8 +300,17 @@ impl FlatIndex {
     ) -> Result<Option<(PageId, u16)>, StorageError> {
         let mut stats = QueryStats::default();
         Ok(self
-            .seed(pool, query, &mut stats, None, None)?
+            .seed(pool, query, &mut stats, None, &self.scope())?
             .map(|r| (r.page, r.slot)))
+    }
+
+    /// The crawl scope of a pristine index: nothing deleted, chains
+    /// bounded by its metadata-page count.
+    pub(crate) fn scope(&self) -> CrawlScope<'static> {
+        CrawlScope {
+            tombstones: None,
+            chain_limit: crate::meta::chain_limit(self.num_meta_pages),
+        }
     }
 }
 
@@ -307,7 +320,7 @@ impl FlatIndex {
 #[derive(Debug)]
 pub(crate) struct CrawlState {
     pub(crate) queue: VecDeque<MetaRecordId>,
-    pub(crate) seen: HashSet<MetaRecordId>,
+    pub(crate) seen: RecordSet,
 }
 
 impl CrawlState {
@@ -315,7 +328,7 @@ impl CrawlState {
     pub(crate) fn start(seed: MetaRecordId) -> CrawlState {
         let mut state = CrawlState {
             queue: VecDeque::new(),
-            seen: HashSet::new(),
+            seen: RecordSet::default(),
         };
         state.seen.insert(seed);
         state.queue.push_back(seed);
@@ -557,12 +570,10 @@ mod tests {
         assert!(!got.is_empty());
     }
 
-    #[test]
-    fn continuation_chains_preserve_correctness() {
-        // A few enormous elements stretch their partitions across the
-        // whole domain, giving them neighbor lists far beyond one page's
-        // capacity — the build must chain records and the crawl must still
-        // return exact results.
+    /// An index whose few enormous elements stretch their partitions
+    /// across the whole domain, giving them neighbor lists far beyond one
+    /// page's capacity: the build must chain continuation records.
+    fn build_with_chains() -> (BufferPool<MemStore>, FlatIndex, Vec<Entry>) {
         let mut entries = random_entries(60_000, 112);
         for i in 0..5u64 {
             let lo = Point3::splat(1.0 + i as f64);
@@ -578,12 +589,76 @@ mod tests {
             "test setup must force continuation chains (max count {})",
             stats.neighbor_counts.iter().max().unwrap()
         );
+        (pool, index, entries)
+    }
+
+    #[test]
+    fn continuation_chains_preserve_correctness() {
+        // The crawl must follow the chains and still return exact results.
+        let (pool, index, entries) = build_with_chains();
         for (c, side) in [(50.0, 10.0), (20.0, 30.0), (50.0, 250.0)] {
             let q = Aabb::cube(Point3::splat(c), side);
             let expected = brute_force(&entries, &q);
             let got = index.range_query(&pool, &q).unwrap();
             assert_eq!(got.len(), expected.len(), "query at {c} side {side}");
         }
+    }
+
+    #[test]
+    fn continuation_cycle_is_corrupt_not_endless() {
+        use crate::join::{JoinEngine, JoinInput};
+        use crate::meta::{decode_meta_leaf, encode_meta_leaf};
+        use flat_storage::PageStore;
+
+        let (mut pool, index, _) = build_with_chains();
+        // Point every continuation chunk back at itself.
+        let mut patched = 0;
+        for raw in 0..pool.store().num_pages() {
+            let id = PageId(raw);
+            let mut page = pool.read(id, PageKind::SeedLeaf).unwrap().clone();
+            let Ok(mut records) = decode_meta_leaf(&page) else {
+                continue; // not a metadata page
+            };
+            let mut dirty = false;
+            for (slot, record) in records.iter_mut().enumerate() {
+                if record.is_continuation {
+                    record.continuation = Some(MetaRecordId {
+                        page: id,
+                        slot: slot as u16,
+                    });
+                    dirty = true;
+                    patched += 1;
+                }
+            }
+            if dirty {
+                encode_meta_leaf(&records, &mut page);
+                pool.write(id, &page, PageKind::SeedLeaf).unwrap();
+                assert_eq!(decode_meta_leaf(&page).unwrap(), records);
+            }
+        }
+        assert!(patched > 0, "the setup must have continuation chunks");
+
+        let corrupt = |what: &str, err: Option<StorageError>| {
+            assert!(
+                matches!(err, Some(StorageError::Corrupt(_))),
+                "{what} must fail with Corrupt, got {err:?}"
+            );
+        };
+        let everything = Aabb::cube(Point3::splat(50.0), 250.0);
+        corrupt("range", index.range_query(&pool, &everything).err());
+        corrupt("kNN", index.knn_query(&pool, Point3::splat(50.0), 10).err());
+        corrupt("aggregate", index.aggregate_count(&pool, &everything).err());
+        corrupt(
+            "join",
+            JoinEngine::new(0.5)
+                .join(
+                    &pool,
+                    JoinInput::Flat(&index),
+                    &pool,
+                    JoinInput::Flat(&index),
+                )
+                .err(),
+        );
     }
 
     #[test]

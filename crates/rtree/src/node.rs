@@ -17,7 +17,7 @@
 
 use crate::Entry;
 use flat_geom::{Aabb, Point3};
-use flat_storage::{Page, PageId, StorageError, PAGE_SIZE};
+use flat_storage::{Page, PageId, PageMut, StorageError, PAGE_SIZE};
 
 /// Size of the fixed node header in bytes.
 pub const HEADER_SIZE: usize = 8;
@@ -87,7 +87,7 @@ pub struct ChildRef {
     pub page: PageId,
 }
 
-fn put_mbr(page: &mut Page, offset: usize, mbr: &Aabb) {
+fn put_mbr(page: &mut PageMut<'_>, offset: usize, mbr: &Aabb) {
     page.put_f64(offset, mbr.min.x);
     page.put_f64(offset + 8, mbr.min.y);
     page.put_f64(offset + 16, mbr.min.z);
@@ -126,12 +126,14 @@ pub fn encode_inner(children: &[ChildRef], page: &mut Page) {
         children.len(),
         inner_capacity()
     );
+    // Clearing first replaces a shared buffer instead of copying it.
     page.clear();
+    let mut page = page.edit();
     page.put_u16(0, TAG_INNER);
     page.put_u16(2, children.len() as u16);
     let mut offset = HEADER_SIZE;
     for child in children {
-        put_mbr(page, offset, &child.mbr);
+        put_mbr(&mut page, offset, &child.mbr);
         page.put_u64(offset + MBR_SIZE, child.page.0);
         offset += INNER_ENTRY_SIZE;
     }
@@ -180,13 +182,15 @@ pub fn encode_leaf(entries: &[Entry], layout: LeafLayout, page: &mut Page) {
         entries.len(),
         leaf_capacity(layout)
     );
+    // Clearing first replaces a shared buffer instead of copying it.
     page.clear();
+    let mut page = page.edit();
     page.put_u16(0, TAG_LEAF);
     page.put_u16(2, entries.len() as u16);
     page.put_u16(4, layout.tag());
     let mut offset = HEADER_SIZE;
     for entry in entries {
-        put_mbr(page, offset, &entry.mbr);
+        put_mbr(&mut page, offset, &entry.mbr);
         offset += MBR_SIZE;
         if layout == LeafLayout::WithIds {
             page.put_u64(offset, entry.id);
@@ -195,40 +199,107 @@ pub fn encode_leaf(entries: &[Entry], layout: LeafLayout, page: &mut Page) {
     }
 }
 
-/// Deserializes a leaf node, reporting which layout it was written with.
+/// A leaf node (or FLAT object page) read in place: the validated header
+/// plus an iterator over its entries, decoded from the page bytes as it
+/// advances. Predicate scans run over it without materializing a
+/// `Vec<Entry>`.
+#[derive(Debug, Clone, Copy)]
+pub struct LeafRef<'a> {
+    page: &'a Page,
+    layout: LeafLayout,
+    len: usize,
+}
+
+impl<'a> LeafRef<'a> {
+    /// Validates the leaf header of `page` (tag, layout, count within the
+    /// layout's capacity).
+    pub fn new(page: &'a Page) -> Result<LeafRef<'a>, StorageError> {
+        if page.get_u16(0) != TAG_LEAF {
+            return Err(StorageError::Corrupt(format!(
+                "expected leaf node tag, found {}",
+                page.get_u16(0)
+            )));
+        }
+        let len = page.get_u16(2) as usize;
+        let layout = LeafLayout::from_tag(page.get_u16(4))?;
+        if len > leaf_capacity(layout) {
+            return Err(StorageError::Corrupt(format!(
+                "leaf count {len} exceeds capacity"
+            )));
+        }
+        Ok(LeafRef { page, layout, len })
+    }
+
+    /// The layout the leaf was written with.
+    pub fn layout(&self) -> LeafLayout {
+        self.layout
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` for a leaf without entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The entries in slot order. Under [`LeafLayout::MbrOnly`] each id is
+    /// the slot number, as in [`decode_leaf`].
+    pub fn entries(&self) -> LeafEntries<'a> {
+        LeafEntries {
+            page: self.page,
+            layout: self.layout,
+            slot: 0,
+            len: self.len,
+        }
+    }
+}
+
+/// Iterator over the entries of a [`LeafRef`].
+#[derive(Debug, Clone)]
+pub struct LeafEntries<'a> {
+    page: &'a Page,
+    layout: LeafLayout,
+    slot: usize,
+    len: usize,
+}
+
+impl Iterator for LeafEntries<'_> {
+    type Item = Entry;
+
+    #[inline]
+    fn next(&mut self) -> Option<Entry> {
+        if self.slot == self.len {
+            return None;
+        }
+        let offset = HEADER_SIZE + self.slot * self.layout.entry_size();
+        let mbr = get_mbr(self.page, offset);
+        let id = match self.layout {
+            LeafLayout::MbrOnly => self.slot as u64,
+            LeafLayout::WithIds => self.page.get_u64(offset + MBR_SIZE),
+        };
+        self.slot += 1;
+        Some(Entry::new(id, mbr))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.len - self.slot;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for LeafEntries<'_> {}
+
+/// Deserializes a leaf node, reporting which layout it was written with
+/// (an owned copy of [`LeafRef`]).
 ///
 /// Under [`LeafLayout::MbrOnly`] the returned ids are the slot numbers;
 /// callers combine them with the page id for a globally unique reference.
 pub fn decode_leaf(page: &Page) -> Result<(LeafLayout, Vec<Entry>), StorageError> {
-    if page.get_u16(0) != TAG_LEAF {
-        return Err(StorageError::Corrupt(format!(
-            "expected leaf node tag, found {}",
-            page.get_u16(0)
-        )));
-    }
-    let count = page.get_u16(2) as usize;
-    let layout = LeafLayout::from_tag(page.get_u16(4))?;
-    if count > leaf_capacity(layout) {
-        return Err(StorageError::Corrupt(format!(
-            "leaf count {count} exceeds capacity"
-        )));
-    }
-    let mut entries = Vec::with_capacity(count);
-    let mut offset = HEADER_SIZE;
-    for slot in 0..count {
-        let mbr = get_mbr(page, offset);
-        offset += MBR_SIZE;
-        let id = match layout {
-            LeafLayout::MbrOnly => slot as u64,
-            LeafLayout::WithIds => {
-                let id = page.get_u64(offset);
-                offset += 8;
-                id
-            }
-        };
-        entries.push(Entry::new(id, mbr));
-    }
-    Ok((layout, entries))
+    let leaf = LeafRef::new(page)?;
+    Ok((leaf.layout(), leaf.entries().collect()))
 }
 
 /// `true` if the page holds a leaf node.

@@ -22,10 +22,13 @@ use std::sync::Arc;
 
 /// Shared read access to pages, with per-[`PageKind`] I/O accounting.
 ///
-/// Reads return an *owned* copy of the page: the 4 KB memcpy decouples the
-/// caller from the cache's locking/borrowing discipline (and is noise next
-/// to the I/O the pool is accounting for — index node formats are
-/// deserialized into typed structures immediately after the read anyway).
+/// Reads return an owned [`Page`] *handle* that shares the cached buffer:
+/// a cache hit bumps a reference count and copies no bytes, yet the
+/// caller is decoupled from the cache's locking/borrowing discipline (the
+/// handle stays valid after the cache evicts or replaces the page). Pages
+/// are copy-on-write, so a caller that mutates its handle gets a private
+/// copy and never changes the cached bytes. Index code reads records and
+/// entries in place through views over the handle's bytes.
 pub trait PageRead {
     /// Reads page `id`, counting the access against `kind`.
     fn read_page(&self, id: PageId, kind: PageKind) -> Result<Page, StorageError>;

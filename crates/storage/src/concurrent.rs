@@ -356,6 +356,21 @@ mod tests {
     }
 
     #[test]
+    fn read_page_shares_the_cached_buffer_copy_on_write() {
+        let pool = ConcurrentBufferPool::new(store_with_pages(4), 16);
+        let mut first = pool.read_page(PageId(2), PageKind::SeedLeaf).unwrap();
+        let second = pool.read_page(PageId(2), PageKind::SeedLeaf).unwrap();
+        assert!(
+            std::ptr::eq(first.bytes(), second.bytes()),
+            "a hit must not copy the page"
+        );
+        first.put_u64(0, 99);
+        assert_eq!(second.get_u64(0), 2, "another holder saw the write");
+        let again = pool.read_page(PageId(2), PageKind::SeedLeaf).unwrap();
+        assert_eq!(again.get_u64(0), 2, "the cached bytes changed");
+    }
+
+    #[test]
     fn exclusive_writes_refresh_shard_caches() {
         let mut pool = ConcurrentBufferPool::new(store_with_pages(4), 16);
         // Cache page 2 via a shared read, then overwrite it exclusively.

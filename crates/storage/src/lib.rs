@@ -8,8 +8,9 @@
 //! pages). This crate is the substrate that makes those measurements
 //! possible:
 //!
-//! * [`Page`] — a fixed 4 KB buffer with little-endian scalar accessors and
-//!   a sequential [`PageCursor`] for record serialization.
+//! * [`Page`] — a fixed 4 KB buffer, shared copy-on-write, with
+//!   little-endian scalar accessors, a [`PageMut`] encoding view and a
+//!   sequential [`PageCursor`] for record serialization.
 //! * [`PageStore`] — the backing medium; [`MemStore`] keeps pages in memory
 //!   (fast, deterministic benchmarking), [`FileStore`] keeps them in a real
 //!   file.
@@ -72,7 +73,7 @@ pub use disk::DiskModel;
 pub use durable::{DurableStore, RecoveredLog};
 pub use error::StorageError;
 pub use fault::{CrashStyle, FaultStore};
-pub use page::{Page, PageCursor, PAGE_SIZE};
+pub use page::{Page, PageCursor, PageMut, PAGE_SIZE};
 pub use pool::{BufferPool, IoStats, KindStats};
 pub use scheduler::{DiskScheduler, SchedulerConfig, SchedulerStats};
 pub use spill::{

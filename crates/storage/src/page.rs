@@ -1,19 +1,27 @@
 //! The fixed-size page buffer and its serialization helpers.
 
 use crate::StorageError;
+use std::sync::Arc;
 
 /// Size of every disk page in bytes, matching the paper: "All approaches
 /// store data on the disk in 4K pages" (§VII-A).
 pub const PAGE_SIZE: usize = 4096;
 
-/// A 4 KB page buffer.
+/// A 4 KB page buffer, shared copy-on-write.
 ///
 /// Pages are plain byte arrays; indexes serialize their node formats onto
-/// them with the positional accessors or a sequential [`PageCursor`]. All
-/// scalars are little-endian.
+/// them with the positional accessors, a [`PageMut`] view or a sequential
+/// [`PageCursor`]. All scalars are little-endian.
+///
+/// `clone` shares the buffer: it bumps a reference count and copies no
+/// bytes, which is what makes a cache hit ([`crate::PageRead::read_page`])
+/// cheap. Mutation copies on write: [`Page::bytes_mut`], [`Page::edit`]
+/// and the `put_*` accessors first make this handle's buffer unique
+/// (copying it if another handle shares it), so writing through one
+/// handle never changes the bytes another handle — or a cache — sees.
 #[derive(Clone)]
 pub struct Page {
-    data: Box<[u8; PAGE_SIZE]>,
+    data: Arc<[u8; PAGE_SIZE]>,
 }
 
 impl Default for Page {
@@ -32,7 +40,7 @@ impl Page {
     /// A zero-filled page.
     pub fn new() -> Page {
         Page {
-            data: Box::new([0u8; PAGE_SIZE]),
+            data: Arc::new([0u8; PAGE_SIZE]),
         }
     }
 
@@ -42,21 +50,35 @@ impl Page {
         &self.data
     }
 
-    /// Mutable view of the page bytes.
+    /// Mutable view of the page bytes, copying the buffer first if another
+    /// handle shares it.
     #[inline]
     pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
-        &mut self.data
+        Arc::make_mut(&mut self.data)
     }
 
-    /// Zero-fills the page.
+    /// A unique mutable view for encoding a whole page: the copy-on-write
+    /// check runs once here instead of once per scalar write.
+    #[inline]
+    pub fn edit(&mut self) -> PageMut<'_> {
+        PageMut {
+            data: self.bytes_mut(),
+        }
+    }
+
+    /// Zero-fills the page. A shared buffer is replaced by a fresh one
+    /// rather than copied and then overwritten.
     pub fn clear(&mut self) {
-        self.data.fill(0);
+        match Arc::get_mut(&mut self.data) {
+            Some(data) => data.fill(0),
+            None => *self = Page::new(),
+        }
     }
 
     /// Writes a `u16` at `offset`.
     #[inline]
     pub fn put_u16(&mut self, offset: usize, v: u16) {
-        self.data[offset..offset + 2].copy_from_slice(&v.to_le_bytes());
+        self.edit().put_u16(offset, v)
     }
 
     /// Reads a `u16` from `offset`.
@@ -68,7 +90,7 @@ impl Page {
     /// Writes a `u32` at `offset`.
     #[inline]
     pub fn put_u32(&mut self, offset: usize, v: u32) {
-        self.data[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
+        self.edit().put_u32(offset, v)
     }
 
     /// Reads a `u32` from `offset`.
@@ -80,7 +102,7 @@ impl Page {
     /// Writes a `u64` at `offset`.
     #[inline]
     pub fn put_u64(&mut self, offset: usize, v: u64) {
-        self.data[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
+        self.edit().put_u64(offset, v)
     }
 
     /// Reads a `u64` from `offset`.
@@ -92,7 +114,7 @@ impl Page {
     /// Writes an `f64` at `offset`.
     #[inline]
     pub fn put_f64(&mut self, offset: usize, v: f64) {
-        self.data[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
+        self.edit().put_f64(offset, v)
     }
 
     /// Reads an `f64` from `offset`.
@@ -104,9 +126,42 @@ impl Page {
     /// A sequential writer starting at `offset`.
     pub fn writer(&mut self, offset: usize) -> PageCursor<'_> {
         PageCursor {
-            page: self,
+            page: self.edit(),
             pos: offset,
         }
+    }
+}
+
+/// A unique mutable view of one page's bytes (see [`Page::edit`]).
+///
+/// Encoders take one view per page and write every scalar through it.
+pub struct PageMut<'a> {
+    data: &'a mut [u8; PAGE_SIZE],
+}
+
+impl PageMut<'_> {
+    /// Writes a `u16` at `offset`.
+    #[inline]
+    pub fn put_u16(&mut self, offset: usize, v: u16) {
+        self.data[offset..offset + 2].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Writes a `u32` at `offset`.
+    #[inline]
+    pub fn put_u32(&mut self, offset: usize, v: u32) {
+        self.data[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Writes a `u64` at `offset`.
+    #[inline]
+    pub fn put_u64(&mut self, offset: usize, v: u64) {
+        self.data[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Writes an `f64` at `offset`.
+    #[inline]
+    pub fn put_f64(&mut self, offset: usize, v: f64) {
+        self.data[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -116,7 +171,7 @@ impl Page {
 /// [`StorageError::PageOverflow`] instead of silently truncating, so node
 /// serializers catch capacity arithmetic mistakes in tests.
 pub struct PageCursor<'a> {
-    page: &'a mut Page,
+    page: PageMut<'a>,
     pos: usize,
 }
 
@@ -244,6 +299,50 @@ mod tests {
         p.put_u64(0, u64::MAX);
         p.clear();
         assert_eq!(p.get_u64(0), 0);
+    }
+
+    #[test]
+    fn clone_shares_and_mutation_copies_on_write() {
+        let mut a = Page::new();
+        a.put_u64(0, 7);
+        let mut b = a.clone();
+        assert!(
+            std::ptr::eq(a.bytes(), b.bytes()),
+            "clone must not copy the bytes"
+        );
+        b.put_u64(0, 9);
+        assert!(!std::ptr::eq(a.bytes(), b.bytes()));
+        assert_eq!(a.get_u64(0), 7, "writing a clone changed the original");
+        assert_eq!(b.get_u64(0), 9);
+
+        let c = a.clone();
+        a.bytes_mut()[8] = 1;
+        assert_eq!(c.bytes()[8], 0, "bytes_mut on a shared page must copy");
+        let d = a.clone();
+        a.edit().put_u16(16, 3);
+        assert_eq!(d.get_u16(16), 0, "edit on a shared page must copy");
+        let e = a.clone();
+        a.clear();
+        assert_eq!(
+            e.get_u64(0),
+            7,
+            "clearing a shared page must not zero the other"
+        );
+        assert_eq!(a.get_u64(0), 0);
+    }
+
+    #[test]
+    fn unique_page_mutates_in_place() {
+        let mut a = Page::new();
+        let before = a.bytes().as_ptr();
+        a.put_u64(0, 1);
+        a.edit().put_f64(8, 2.5);
+        a.clear();
+        assert_eq!(
+            a.bytes().as_ptr(),
+            before,
+            "a unique page must not be copied"
+        );
     }
 
     #[test]

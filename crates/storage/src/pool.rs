@@ -471,9 +471,10 @@ impl CacheState {
 ///   [`BufferPool::reset_stats`] and [`BufferPool::clear_cache`] all take
 ///   `&self`, so the measurement protocol never needs mutable access.
 ///
-/// The borrowed-read fast path ([`BufferPool::read`], `&mut self`, returns
-/// `&Page` without copying) remains for build-time code; the [`PageRead`]
-/// implementation returns owned copies from `&self`.
+/// The borrowed-read path ([`BufferPool::read`], `&mut self`, returns
+/// `&Page`) remains for build-time code; the [`PageRead`] implementation
+/// returns shared copy-on-write handles from `&self` (a hit copies no
+/// bytes).
 pub struct BufferPool<S: PageStore> {
     store: S,
     capacity: usize,
@@ -594,10 +595,9 @@ impl<S: PageStore> BufferPool<S> {
         Ok(())
     }
 
-    /// Reads a page without copying it, counting it against `kind`. The
-    /// returned reference is valid until the next call that mutates the
-    /// pool. This is the build-time fast path; shared readers use
-    /// [`PageRead::read_page`].
+    /// Reads a page by reference, counting it against `kind`. The returned
+    /// reference is valid until the next call that mutates the pool. This
+    /// is the build-time path; shared readers use [`PageRead::read_page`].
     pub fn read(&mut self, id: PageId, kind: PageKind) -> Result<&Page, StorageError> {
         let cache = self.cache.get_mut();
         if let Some(slot) = cache.lookup(id) {
@@ -694,6 +694,23 @@ mod tests {
             store.write_page(id, &page).unwrap();
         }
         BufferPool::new(store, capacity)
+    }
+
+    #[test]
+    fn read_page_shares_the_cached_buffer_copy_on_write() {
+        let pool = pool_with_pages(2, 8);
+        let mut first = pool.read_page(PageId(1), PageKind::ObjectPage).unwrap();
+        let second = pool.read_page(PageId(1), PageKind::ObjectPage).unwrap();
+        assert!(
+            std::ptr::eq(first.bytes(), second.bytes()),
+            "a hit must not copy the page"
+        );
+        first.put_u64(0, 99);
+        first.bytes_mut()[100] = 7;
+        assert_eq!(second.get_u64(0), 1, "another holder saw the write");
+        let again = pool.read_page(PageId(1), PageKind::ObjectPage).unwrap();
+        assert_eq!(again.get_u64(0), 1, "the cached bytes changed");
+        assert_eq!(again.bytes()[100], 0);
     }
 
     #[test]

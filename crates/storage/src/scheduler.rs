@@ -886,6 +886,21 @@ mod tests {
     }
 
     #[test]
+    fn read_page_shares_the_cached_buffer_copy_on_write() {
+        let sched = DiskScheduler::new(store_with_pages(4), 16);
+        let mut first = sched.read_page(PageId(3), PageKind::ObjectPage).unwrap();
+        let second = sched.read_page(PageId(3), PageKind::ObjectPage).unwrap();
+        assert!(
+            std::ptr::eq(first.bytes(), second.bytes()),
+            "a hit must not copy the page"
+        );
+        first.put_u64(0, 99);
+        assert_eq!(second.get_u64(0), 3, "another holder saw the write");
+        let again = sched.read_page(PageId(3), PageKind::ObjectPage).unwrap();
+        assert_eq!(again.get_u64(0), 3, "the cached bytes changed");
+    }
+
+    #[test]
     fn demand_reads_return_correct_pages_and_account_io() {
         let sched = DiskScheduler::new(store_with_pages(8), 16);
         for i in [3u64, 0, 3, 7, 0] {

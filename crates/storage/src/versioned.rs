@@ -8,7 +8,7 @@
 //!
 //! * **Readers pin an epoch** ([`VersionedPool::pin`] → [`EpochPin`]) and
 //!   stay wait-free: a pinned read takes no lock a writer holds for more
-//!   than a page copy. The pin registry is the only coordination point,
+//!   than a map insert. The pin registry is the only coordination point,
 //!   touched once at pin creation and once at drop.
 //! * **Writers copy-on-write only the pages they touch**
 //!   ([`VersionedPool::begin_batch`] → [`BatchWriter`]): the first write
@@ -839,6 +839,55 @@ mod tests {
         let mut page = Page::new();
         page.put_u64(0, value);
         page
+    }
+
+    #[test]
+    fn pinned_and_batch_reads_are_copy_on_write() {
+        let pool = pool_with_pages(4);
+        let pin = pool.pin();
+        let mut held = pin.read_page(PageId(1), PageKind::ObjectPage).unwrap();
+        {
+            let mut batch = pool.begin_batch();
+            batch
+                .write(PageId(1), &stamped(100), PageKind::ObjectPage)
+                .unwrap();
+            // Read-your-writes table: mutating the returned handle must
+            // not change what the batch (or the shared cache) holds.
+            let mut mine = batch.read_page(PageId(1), PageKind::ObjectPage).unwrap();
+            mine.put_u64(0, 555);
+            let again = batch.read_page(PageId(1), PageKind::ObjectPage).unwrap();
+            assert_eq!(again.get_u64(0), 100);
+            // A pinned read of the overlay pre-image, mutated by its
+            // holder, leaves the pre-image intact.
+            let mut pre = pin.read_page(PageId(1), PageKind::ObjectPage).unwrap();
+            pre.put_u64(0, 777);
+            assert_eq!(
+                pin.read_page(PageId(1), PageKind::ObjectPage)
+                    .unwrap()
+                    .get_u64(0),
+                1
+            );
+            batch.publish();
+        }
+        // The handle taken before the batch still holds pre-batch bytes,
+        // and so does every later read through the old pin.
+        assert_eq!(held.get_u64(0), 1);
+        assert_eq!(
+            pin.read_page(PageId(1), PageKind::ObjectPage)
+                .unwrap()
+                .get_u64(0),
+            1
+        );
+        held.put_u64(0, 888);
+        let latest = pool.pin();
+        assert_eq!(
+            latest
+                .read_page(PageId(1), PageKind::ObjectPage)
+                .unwrap()
+                .get_u64(0),
+            100,
+            "a reader's private write leaked into the published page"
+        );
     }
 
     #[test]
